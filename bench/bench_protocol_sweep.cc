@@ -15,7 +15,7 @@
  * 128-byte lines and shrinks with 32-byte ones.
  *
  * Every (protocol, line size) combination hashes to its own trace-cache
- * key (the v4 config section includes both), so repeat invocations with
+ * key (the config section includes both), so repeat invocations with
  * LASER_TRACE_CACHE set replay entirely from disk.
  */
 

@@ -193,8 +193,8 @@ SweepRunner::loadOrRunFile(std::uint64_t key,
             ++stats_.diskCacheHits;
             return file;
         }
-        // Missing, corrupt, stale or pre-v3 cache file: fall through
-        // and rerun (the fresh capture overwrites it).
+        // Missing, corrupt, stale or other-version cache file: fall
+        // through and rerun (the fresh capture overwrites it).
     }
 
     trace::Trace captured;

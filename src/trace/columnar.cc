@@ -140,49 +140,6 @@ decodeDeltaVar(const std::uint8_t *data, std::size_t size,
     return r.remaining() == 0;
 }
 
-// -- ForPack ----------------------------------------------------------
-
-void
-encodeForPack(const std::vector<std::uint64_t> &vals,
-              std::vector<std::uint8_t> *out)
-{
-    ByteWriter w(*out);
-    if (vals.empty())
-        return;
-    const std::uint64_t base =
-        *std::min_element(vals.begin(), vals.end());
-    const std::uint64_t top =
-        *std::max_element(vals.begin(), vals.end());
-    const unsigned width = bitsFor(top - base);
-    w.var(base);
-    w.u8(static_cast<std::uint8_t>(width));
-    BitWriter bits(*out);
-    for (std::uint64_t v : vals)
-        bits.put(v - base, width);
-    bits.flush();
-}
-
-bool
-decodeForPack(const std::uint8_t *data, std::size_t size,
-              std::size_t count, std::vector<std::uint64_t> *out)
-{
-    if (count == 0)
-        return size == 0;
-    ByteReader r(data, size);
-    const std::uint64_t base = r.var();
-    const unsigned width = r.u8();
-    if (!r.ok || width > 64)
-        return false;
-    BitReader bits(r.p, r.remaining());
-    for (std::size_t i = 0; i < count; ++i) {
-        const std::uint64_t v = bits.get(width);
-        if (!bits.ok)
-            return false;
-        out->push_back(base + v);
-    }
-    return bits.finished();
-}
-
 // -- DictPack ---------------------------------------------------------
 
 /** Distinct sorted values of @p vals. */
@@ -309,97 +266,14 @@ decodeDictPack(const std::uint8_t *data, std::size_t size,
     return false;
 }
 
-// -- DeltaForPack -----------------------------------------------------
-
-/**
- * Deltas are packed in mini-blocks of 128 with a per-group base and bit
- * width, so one outlier delta (a phase change, a tile seam) widens only
- * its own group instead of the whole block. A constant-stride group
- * (width 0) costs just its base varint — the common case for sampled
- * cycle columns.
- */
-constexpr std::size_t kDeltaGroup = 128;
-
-void
-encodeDeltaForPack(const std::vector<std::uint64_t> &vals,
-                   std::vector<std::uint8_t> *out)
-{
-    ByteWriter w(*out);
-    if (vals.empty())
-        return;
-    w.var(vals[0]);
-    if (vals.size() == 1)
-        return;
-    std::vector<std::uint64_t> deltas;
-    deltas.reserve(vals.size() - 1);
-    for (std::size_t i = 1; i < vals.size(); ++i)
-        deltas.push_back(wire::zigzagEncode(
-            static_cast<std::int64_t>(vals[i] - vals[i - 1])));
-    for (std::size_t g = 0; g < deltas.size(); g += kDeltaGroup) {
-        const std::size_t n =
-            std::min(kDeltaGroup, deltas.size() - g);
-        const std::uint64_t base = *std::min_element(
-            deltas.begin() + g, deltas.begin() + g + n);
-        const std::uint64_t top = *std::max_element(
-            deltas.begin() + g, deltas.begin() + g + n);
-        const unsigned width = bitsFor(top - base);
-        w.var(base);
-        w.u8(static_cast<std::uint8_t>(width));
-        BitWriter bits(*out);
-        for (std::size_t i = 0; i < n; ++i)
-            bits.put(deltas[g + i] - base, width);
-        bits.flush(); // per-group byte alignment keeps decode strict
-    }
-}
-
-bool
-decodeDeltaForPack(const std::uint8_t *data, std::size_t size,
-                   std::size_t count, std::vector<std::uint64_t> *out)
-{
-    if (count == 0)
-        return size == 0;
-    ByteReader r(data, size);
-    std::uint64_t prev = r.var();
-    if (!r.ok)
-        return false;
-    out->push_back(prev);
-    std::size_t remaining = count - 1;
-    while (remaining > 0) {
-        const std::size_t n = std::min(kDeltaGroup, remaining);
-        const std::uint64_t base = r.var();
-        const unsigned width = r.u8();
-        if (!r.ok || width > 64)
-            return false;
-        const std::size_t group_bytes = (n * width + 7) / 8;
-        if (group_bytes > r.remaining())
-            return false;
-        BitReader bits(r.p, group_bytes);
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint64_t packed = bits.get(width);
-            if (!bits.ok)
-                return false;
-            prev += static_cast<std::uint64_t>(
-                wire::zigzagDecode(base + packed));
-            out->push_back(prev);
-        }
-        if (!bits.finished()) // nonzero padding bits
-            return false;
-        r.skip(group_bytes);
-        remaining -= n;
-    }
-    return r.remaining() == 0;
-}
-
 } // namespace
 
 const char *
 codecName(ColumnCodec codec)
 {
     switch (codec) {
-      case ColumnCodec::DeltaVar:     return "delta-var";
-      case ColumnCodec::ForPack:      return "for-pack";
-      case ColumnCodec::DictPack:     return "dict-pack";
-      case ColumnCodec::DeltaForPack: return "delta-for-pack";
+      case ColumnCodec::DeltaVar: return "delta-var";
+      case ColumnCodec::DictPack: return "dict-pack";
     }
     return "???";
 }
@@ -421,10 +295,8 @@ encodeColumn(ColumnCodec codec, const std::vector<std::uint64_t> &vals,
              std::vector<std::uint8_t> *out)
 {
     switch (codec) {
-      case ColumnCodec::DeltaVar:     encodeDeltaVar(vals, out); return;
-      case ColumnCodec::ForPack:      encodeForPack(vals, out); return;
-      case ColumnCodec::DictPack:     encodeDictPack(vals, out); return;
-      case ColumnCodec::DeltaForPack: encodeDeltaForPack(vals, out); return;
+      case ColumnCodec::DeltaVar: encodeDeltaVar(vals, out); return;
+      case ColumnCodec::DictPack: encodeDictPack(vals, out); return;
     }
 }
 
@@ -438,12 +310,8 @@ decodeColumn(ColumnCodec codec, const std::uint8_t *data,
     switch (codec) {
       case ColumnCodec::DeltaVar:
         return decodeDeltaVar(data, size, count, out);
-      case ColumnCodec::ForPack:
-        return decodeForPack(data, size, count, out);
       case ColumnCodec::DictPack:
         return decodeDictPack(data, size, count, out);
-      case ColumnCodec::DeltaForPack:
-        return decodeDeltaForPack(data, size, count, out);
     }
     return false;
 }
@@ -452,31 +320,21 @@ ColumnCodec
 chooseCodec(const std::vector<std::uint64_t> &vals,
             std::vector<std::uint8_t> *out)
 {
-    ColumnCodec best = ColumnCodec::DeltaVar;
-    std::vector<std::uint8_t> best_bytes;
-    encodeColumn(best, vals, &best_bytes);
-
-    const auto consider = [&](ColumnCodec codec) {
-        std::vector<std::uint8_t> bytes;
-        encodeColumn(codec, vals, &bytes);
-        // Strictly smaller wins: ties keep the lowest codec id, so the
-        // choice is deterministic and the file image reproducible.
-        if (bytes.size() < best_bytes.size()) {
-            best = codec;
-            best_bytes = std::move(bytes);
-        }
-    };
-    consider(ColumnCodec::ForPack);
+    std::vector<std::uint8_t> delta;
+    encodeDeltaVar(vals, &delta);
     // DictPack is worth trying even at high cardinality: address
     // columns cluster in a few tight regions, so the sorted dictionary
     // deltas stay small while the record-order deltas jump across
     // regions. The O(n log n) dictionary build is bounded by the block
     // size.
-    consider(ColumnCodec::DictPack);
-    consider(ColumnCodec::DeltaForPack);
-
-    out->insert(out->end(), best_bytes.begin(), best_bytes.end());
-    return best;
+    std::vector<std::uint8_t> dict;
+    encodeDictPack(vals, &dict);
+    // Strictly smaller wins: a tie keeps DeltaVar (the lower codec id),
+    // so the choice is deterministic and the file image reproducible.
+    const bool use_dict = dict.size() < delta.size();
+    const std::vector<std::uint8_t> &best = use_dict ? dict : delta;
+    out->insert(out->end(), best.begin(), best.end());
+    return use_dict ? ColumnCodec::DictPack : ColumnCodec::DeltaVar;
 }
 
 // ---------------------------------------------------------------------
@@ -599,18 +457,6 @@ BlockIndex::decode(const std::uint8_t *data, std::size_t size,
                std::to_string(first_record) + ", index declares " +
                std::to_string(records);
         return false;
-    }
-    return true;
-}
-
-bool
-BlockIndex::cyclesOrdered() const
-{
-    std::uint64_t prev_last = 0;
-    for (const BlockInfo &b : blocks) {
-        if (b.lastCycle < b.firstCycle || b.firstCycle < prev_last)
-            return false;
-        prev_last = b.lastCycle;
     }
     return true;
 }

@@ -1,28 +1,23 @@
 /**
  * @file
- * Columnar record encoding for LSRT v3: per-column block codecs and the
- * seekable footer block index.
+ * Columnar record encoding of the LSRT trace format: per-column block
+ * codecs and the seekable footer block index.
  *
- * A v3 trace stores its record stream as fixed-size blocks (the last one
+ * A trace stores its record stream as fixed-size blocks (the last one
  * ragged). Within a block each record field is a column — pc, data
  * address, core, cycle — and each column is encoded independently with
- * whichever codec compresses it best *for that block*:
+ * whichever of two codecs compresses it better *for that block*:
  *
- *   DeltaVar      zigzag delta + LEB128 varint (the v2 scheme, per field)
- *   ForPack       frame-of-reference: varint base (min) + fixed-width
- *                 bit-packed offsets — dense cycle/core columns
- *   DictPack      sorted dictionary (delta varints) + either bit-packed
- *                 dictionary indices or RLE runs, whichever is smaller —
- *                 low-cardinality pc/core columns, and address columns
- *                 whose values cluster in a few tight regions
- *   DeltaForPack  first value + zigzag deltas, frame-of-reference
- *                 bit-packed in mini-blocks of 128 (per-group base and
- *                 width, so an outlier delta widens only its group) —
- *                 monotone cycle columns and strided address streams
+ *   DeltaVar   zigzag delta + LEB128 varint — monotone cycle columns
+ *              and strided streams
+ *   DictPack   sorted dictionary (delta varints) + either bit-packed
+ *              dictionary indices or RLE runs, whichever is smaller —
+ *              low-cardinality pc/core columns, and address columns
+ *              whose values cluster in a few tight regions
  *
- * Codec choice is deterministic (smallest encoding wins, ties break to
- * the lowest codec id), so encoding a decoded trace reproduces the
- * original bytes — the byte-exact round-trip guarantee of the format.
+ * Codec choice is deterministic (smaller encoding wins, ties break to
+ * DeltaVar), so encoding a decoded trace reproduces the original bytes
+ * — the byte-exact round-trip guarantee of the format.
  *
  * The BlockIndex is the file's seek structure: per block it records the
  * record count, the cycle range, each column's codec and encoded size
@@ -46,14 +41,12 @@ namespace laser::trace::columnar {
 /** Per-block, per-column codec identifier (stable wire values). */
 enum class ColumnCodec : std::uint8_t {
     DeltaVar = 0,
-    ForPack = 1,
-    DictPack = 2,
-    DeltaForPack = 3,
+    DictPack = 1,
 };
 
-constexpr std::uint8_t kCodecCount = 4;
+constexpr std::uint8_t kCodecCount = 2;
 
-/** Printable codec name ("delta-var", "for-pack", ...). */
+/** Printable codec name ("delta-var", "dict-pack"). */
 const char *codecName(ColumnCodec codec);
 
 /** Column order within a block (stable wire order). */
@@ -97,10 +90,10 @@ bool decodeColumn(ColumnCodec codec, const std::uint8_t *data,
                   std::vector<std::uint64_t> *out);
 
 /**
- * Encode @p vals with every applicable codec and keep the smallest
- * (ties break to the lowest codec id, so the choice — and therefore the
- * file image — is deterministic). The winning bytes are appended to
- * @p out; the winning codec is returned.
+ * Encode @p vals with both codecs and keep the smaller (a tie breaks to
+ * DeltaVar, so the choice — and therefore the file image — is
+ * deterministic). The winning bytes are appended to @p out; the winning
+ * codec is returned.
  */
 ColumnCodec chooseCodec(const std::vector<std::uint64_t> &vals,
                         std::vector<std::uint8_t> *out);
@@ -142,7 +135,7 @@ struct BlockInfo
     }
 };
 
-/** The footer seek structure of a v3 trace. */
+/** The footer seek structure of a trace. */
 struct BlockIndex
 {
     /** Total records across all blocks. */
@@ -165,19 +158,16 @@ struct BlockIndex
      * Strict decode from exactly [data, data+size): structural
      * violations and self-checksum mismatches return false with a
      * detail message in @p err. Cycle ordering across blocks is *not*
-     * checked here (the full parse checks the records themselves; the
-     * seek path checks the ranges) — a freshly decoded index is
-     * structurally sound but not yet trusted for seeking.
+     * checked here (TraceFile checks it on open) — a freshly decoded
+     * index is structurally sound but not yet trusted for seeking.
      */
     bool decode(const std::uint8_t *data, std::size_t size,
                 std::string *err);
 
-    /** True when block cycle ranges are ordered (seekable). */
-    bool cyclesOrdered() const;
-
     /**
      * Blocks overlapping the half-open cycle window [begin, end):
-     * returns [firstBlock, endBlock). Requires cyclesOrdered().
+     * returns [firstBlock, endBlock). Requires ordered block cycle
+     * ranges.
      */
     void blocksForCycles(std::uint64_t begin, std::uint64_t end,
                          std::size_t *first_block,

@@ -24,7 +24,7 @@
  *   28      n     payload
  *   28+n    8     u64 FNV-1a checksum of the payload
  *
- * Format v4 payload (columnar; see trace/columnar.h for the codecs):
+ * Payload (columnar; see trace/columnar.h for the codecs):
  *
  *   config section     varint/zigzag-encoded capture configuration
  *   results section    machine stats, runtime, /proc maps text
@@ -45,25 +45,18 @@
  * blocks for a record range or cycle window, and decodes only the
  * overlapping blocks — no prefix decode and no whole-file checksum pass
  * on the seek path (the meta/index/block checksums cover every byte it
- * reads). A full TraceReader parse remains fully strict: it verifies
- * the whole-payload checksum first and then cross-checks the index
- * against every decoded record.
+ * reads). A full TraceReader parse is the same validation and block
+ * decode over every block, preceded by the whole-payload checksum.
  *
  * Within the payload, integers are LEB128 varints (signed values
  * zigzag-encoded), doubles are fixed 8-byte IEEE bit patterns, strings
  * are length-prefixed.
  *
- * Older formats still parse (read-side compatibility; `laser_trace
- * migrate` upgrades files in place): v3 lacked the coherence-protocol /
- * cache-geometry tail of the config section (a v3 parse yields the
- * default MESI 64-byte-line configuration), v2 stored records row-wise
- * as interleaved zigzag deltas, v1 additionally lacked the
- * VTune/Sheriff config sections and stored records in driver-delivery
- * order (a v1 parse restores canonical order with
- * analysis::sortByCycle). The
- * config hash is version-scoped — configHashForVersion() reproduces the
- * key an old writer stored — and the write side always emits
- * kTraceVersion.
+ * There is exactly one format version. A trace is a regenerable cache
+ * entry, so a file written under any other version is BadVersion: the
+ * sweep runner treats it as a cache miss and re-simulates, and the
+ * stale file is left for `laser_trace cache gc`. The config hash is
+ * version-scoped, so a version bump also re-keys every cache entry.
  *
  * Parsing is strict: wrong magic, foreign endianness, unknown version,
  * short files, checksum/hash mismatches and non-monotonic record cycle
@@ -90,9 +83,7 @@
 
 namespace laser::trace {
 
-constexpr std::uint32_t kTraceVersion = 4;
-/** Oldest version the read side still parses. */
-constexpr std::uint32_t kTraceMinVersion = 1;
+constexpr std::uint32_t kTraceVersion = 5;
 constexpr char kTraceMagic[4] = {'L', 'S', 'R', 'T'};
 constexpr std::uint32_t kTraceEndianMarker = 0x01020304;
 /** Canonical trace-file extension (also used by the sweep cache). */
@@ -147,14 +138,9 @@ struct TraceMeta
  * trace is stored. Computable before running anything (only the config
  * section of @p meta is read), and stored in the file header so a cache
  * can index traces without decoding payloads. Version-scoped: bumping
- * kTraceVersion re-keys every cache (`laser_trace migrate` re-keys old
- * cache files to their new hash).
+ * kTraceVersion re-keys every cache.
  */
 std::uint64_t configHash(const TraceMeta &meta);
-
-/** The config hash a version-@p version writer would have stored. */
-std::uint64_t configHashForVersion(const TraceMeta &meta,
-                                   std::uint32_t version);
 
 /** A decoded trace: metadata + records in canonical cycle order. */
 struct Trace
@@ -233,19 +219,11 @@ class TraceWriter : public analysis::RecordSink
                                          const std::string &path);
 
 /**
- * Encode @p trace as an older format version (1 or 2) — the row-wise
- * interleaved-delta encodings v3 replaced. Exists for migration tests
- * and for measuring v3's compression against v2; the write path proper
- * always emits kTraceVersion.
- */
-std::vector<std::uint8_t> encodeLegacyTrace(const Trace &trace,
-                                            std::uint32_t version);
-
-/**
- * Strict trace decoder (reads every supported version; see the header
- * comment for the compatibility rules). All entry points return a
- * TraceStatus; trace() is only meaningful after an Ok parse. error()
- * carries a human-readable detail string for every failure.
+ * Strict whole-trace decoder: checks the sizes and the whole-payload
+ * checksum, then runs TraceFile's validation and block decode over
+ * every block. All entry points return a TraceStatus; trace() is only
+ * meaningful after an Ok parse. error() carries a human-readable detail
+ * string for every failure.
  */
 class TraceReader
 {
@@ -258,23 +236,11 @@ class TraceReader
     const Trace &trace() const { return trace_; }
     /** Move the parsed trace out (reader resets to empty). */
     Trace takeTrace() { return std::move(trace_); }
-    /** Format version of the last Ok parse. */
-    std::uint32_t version() const { return version_; }
     /** Detail message for the last non-Ok status ("" after Ok). */
     const std::string &error() const { return error_; }
 
   private:
-    [[nodiscard]] TraceStatus fail(TraceStatus status,
-                                   std::string detail);
-    [[nodiscard]] TraceStatus parseLegacyRecords(
-        const std::uint8_t *payload, std::size_t payload_size,
-        std::size_t meta_size, std::uint32_t version);
-    [[nodiscard]] TraceStatus parseColumnarRecords(
-        const std::uint8_t *payload, std::size_t payload_size,
-        std::size_t meta_size);
-
     Trace trace_;
-    std::uint32_t version_ = 0;
     std::string error_;
 };
 
@@ -289,10 +255,11 @@ struct HeaderInfo
 };
 
 /**
- * Validate the fixed 28-byte header (magic, supported version,
- * endianness) and extract its fields. Shared by the full reader, the
- * seekable TraceFile and the cache's header-only inventory so all
- * three reject foreign files identically.
+ * Validate the fixed 28-byte header (magic, version, endianness) and
+ * extract its fields. Shared by TraceFile (and through it the full
+ * reader) and the cache's header-only inventory so both reject foreign
+ * files identically. The version field is filled in whenever the magic
+ * matched, even when the status is BadVersion.
  */
 [[nodiscard]] TraceStatus parseTraceHeader(const std::uint8_t *data,
                                            std::size_t size,
@@ -300,13 +267,12 @@ struct HeaderInfo
                                            std::string *err);
 
 /**
- * Parse the config + results sections at the start of a payload
- * (version-dependent: v1 lacks the VTune/Sheriff config blocks).
+ * Parse the config + results sections at the start of a payload.
  * On Ok, *consumed is the meta-section size in bytes.
  */
 [[nodiscard]] TraceStatus parseMetaSections(
-    const std::uint8_t *payload, std::size_t size, std::uint32_t version,
-    TraceMeta *meta, std::size_t *consumed, std::string *err);
+    const std::uint8_t *payload, std::size_t size, TraceMeta *meta,
+    std::size_t *consumed, std::string *err);
 
 } // namespace detail
 

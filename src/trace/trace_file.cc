@@ -32,6 +32,20 @@ struct FileMetrics
     }
 };
 
+/** Record @p i of a block decoded into @p cols. */
+pebs::PebsRecord
+recordAt(const std::vector<std::uint64_t> cols[columnar::kColumnCount],
+         std::size_t i)
+{
+    pebs::PebsRecord rec;
+    rec.pc = cols[columnar::kColPc][i];
+    rec.dataAddr = cols[columnar::kColAddr][i];
+    rec.core = static_cast<int>(
+        static_cast<std::int64_t>(cols[columnar::kColCore][i]));
+    rec.cycle = cols[columnar::kColCycle][i];
+    return rec;
+}
+
 } // namespace
 
 /**
@@ -58,11 +72,6 @@ class FileCursor : public RecordCursor
     bool
     next(pebs::PebsRecord *rec) override
     {
-        using columnar::kColAddr;
-        using columnar::kColCore;
-        using columnar::kColCycle;
-        using columnar::kColPc;
-
         while (status_ == TraceStatus::Ok) {
             if (!loaded_) {
                 if (block_ >= endBlock_ || !loadBlock())
@@ -73,18 +82,15 @@ class FileCursor : public RecordCursor
                 const std::uint64_t global = b.firstRecord + pos_;
                 if (global >= recEnd_)
                     return false;
-                const std::uint64_t cycle = cols_[kColCycle][pos_];
+                const std::uint64_t cycle =
+                    cols_[columnar::kColCycle][pos_];
                 if (cycle >= cycleEnd_)
                     return false; // sorted: nothing later can match
                 if (global < recFirst_ || cycle < cycleBegin_) {
                     ++pos_;
                     continue;
                 }
-                rec->pc = cols_[kColPc][pos_];
-                rec->dataAddr = cols_[kColAddr][pos_];
-                rec->core = static_cast<int>(
-                    static_cast<std::int64_t>(cols_[kColCore][pos_]));
-                rec->cycle = cycle;
+                *rec = recordAt(cols_, pos_);
                 ++pos_;
                 return true;
             }
@@ -100,32 +106,12 @@ class FileCursor : public RecordCursor
     bool
     loadBlock()
     {
-        const columnar::BlockInfo &b = file_->index_.blocks[block_];
-        const std::uint8_t *bp = file_->blob() + b.blobOffset;
-        const std::size_t bytes = static_cast<std::size_t>(b.blobBytes());
-        if (wire::fnv1a(bp, bytes) != b.checksum) {
-            status_ = TraceStatus::Corrupt;
+        std::string err;
+        status_ = file_->decodeBlock(block_, cols_, &err);
+        if (status_ != TraceStatus::Ok)
             return false;
-        }
-        for (std::size_t c = 0; c < columnar::kColumnCount; ++c) {
-            if (!columnar::decodeColumn(
-                    b.codec[c], bp + b.columnOffset(c),
-                    static_cast<std::size_t>(b.columnBytes[c]),
-                    static_cast<std::size_t>(b.records), &cols_[c])) {
-                status_ = TraceStatus::Corrupt;
-                return false;
-            }
-        }
-        // The index's cycle range must describe the records it points
-        // at, or window selection would silently skip/include records.
-        if (cols_[columnar::kColCycle].front() != b.firstCycle ||
-                cols_[columnar::kColCycle].back() != b.lastCycle) {
-            status_ = TraceStatus::Corrupt;
-            return false;
-        }
-        FileMetrics::get().bytesRead.inc(bytes);
-        FileMetrics::get().blocksDecoded.inc();
-        detail::addBufferedRecords(static_cast<std::size_t>(b.records));
+        detail::addBufferedRecords(static_cast<std::size_t>(
+            file_->index_.blocks[block_].records));
         loaded_ = true;
         pos_ = 0;
         return true;
@@ -213,7 +199,7 @@ TraceFile::open(const std::string &path)
     map_ = map;
     data_ = static_cast<const std::uint8_t *>(map);
     size_ = size;
-    return validate();
+    return validate(false);
 }
 
 TraceStatus
@@ -224,11 +210,21 @@ TraceFile::openBytes(std::vector<std::uint8_t> bytes)
     owned_ = std::move(bytes);
     data_ = owned_.data();
     size_ = owned_.size();
-    return validate();
+    return validate(false);
 }
 
 TraceStatus
-TraceFile::validate()
+TraceFile::openView(const std::uint8_t *data, std::size_t size)
+{
+    unmap();
+    open_ = false;
+    data_ = data;
+    size_ = size;
+    return validate(true);
+}
+
+TraceStatus
+TraceFile::validate(bool whole_payload_checksum)
 {
     error_.clear();
 
@@ -238,11 +234,6 @@ TraceFile::validate()
         trace::detail::parseTraceHeader(data_, size_, &header, &err);
     if (header_status != TraceStatus::Ok)
         return fail(header_status, std::move(err));
-    if (header.version < 3)
-        return fail(TraceStatus::BadVersion,
-                    "format v" + std::to_string(header.version) +
-                        " has no block index and is not seekable; "
-                        "upgrade it with `laser_trace migrate`");
     if (size_ < kTraceHeaderSize + kTraceTrailerSize)
         return fail(TraceStatus::Truncated,
                     "file shorter than header + trailer");
@@ -261,6 +252,12 @@ TraceFile::validate()
     configHash_ = header.configHash;
 
     const std::size_t payload_size = static_cast<std::size_t>(payloadSize_);
+    if (whole_payload_checksum) {
+        wire::ByteReader trailer(payload() + payload_size,
+                                 kTraceTrailerSize);
+        if (trailer.u64() != wire::fnv1a(payload(), payload_size))
+            return fail(TraceStatus::Corrupt, "payload checksum mismatch");
+    }
     if (payload_size < 8)
         return fail(TraceStatus::Truncated,
                     "payload too small for the index offset");
@@ -284,20 +281,36 @@ TraceFile::validate()
 
     std::size_t consumed = 0;
     const TraceStatus meta_status = trace::detail::parseMetaSections(
-        payload(), metaSize_, header.version, &meta_, &consumed, &err);
+        payload(), metaSize_, &meta_, &consumed, &err);
     if (meta_status != TraceStatus::Ok)
         return fail(meta_status, std::move(err));
     if (consumed != metaSize_)
         return fail(TraceStatus::Corrupt,
                     "meta sections do not end at the record blob");
-    if (configHashForVersion(meta_, header.version) != header.configHash)
+    if (configHash(meta_) != header.configHash)
         return fail(TraceStatus::Corrupt,
                     "header config hash does not match config section");
     // Seeking binary-searches block cycle ranges; an unordered index
-    // cannot serve a window correctly, so refuse it up front.
-    if (!index_.cyclesOrdered())
-        return fail(TraceStatus::NonMonotonic,
-                    "block cycle ranges are not ordered");
+    // cannot serve a window correctly, so refuse it up front. With
+    // decodeBlock()'s in-block check this makes every stream that
+    // decodes Ok non-decreasing in cycle.
+    std::uint64_t prev_last = 0;
+    for (std::size_t bi = 0; bi < index_.blocks.size(); ++bi) {
+        const columnar::BlockInfo &b = index_.blocks[bi];
+        if (b.lastCycle < b.firstCycle)
+            return fail(TraceStatus::NonMonotonic,
+                        "block " + std::to_string(bi) + " last cycle " +
+                            std::to_string(b.lastCycle) +
+                            " precedes its first cycle " +
+                            std::to_string(b.firstCycle));
+        if (b.firstCycle < prev_last)
+            return fail(TraceStatus::NonMonotonic,
+                        "block " + std::to_string(bi) + " first cycle " +
+                            std::to_string(b.firstCycle) +
+                            " precedes the previous block's last cycle " +
+                            std::to_string(prev_last));
+        prev_last = b.lastCycle;
+    }
 
     // Everything read so far: header, meta sections, index, trailing
     // index offset. Record blocks are charged as cursors decode them.
@@ -335,7 +348,51 @@ TraceFile::cursorForCycles(std::uint64_t begin, std::uint64_t end) const
 }
 
 TraceStatus
-TraceFile::readAll(Trace *out) const
+TraceFile::decodeBlock(std::size_t block,
+                       std::vector<std::uint64_t> cols[columnar::kColumnCount],
+                       std::string *err) const
+{
+    const columnar::BlockInfo &b = index_.blocks[block];
+    const std::uint8_t *bp = blob() + b.blobOffset;
+    const std::size_t bytes = static_cast<std::size_t>(b.blobBytes());
+    const auto where = [block] { return "block " + std::to_string(block); };
+    if (wire::fnv1a(bp, bytes) != b.checksum) {
+        *err = where() + " checksum mismatch";
+        return TraceStatus::Corrupt;
+    }
+    for (std::size_t c = 0; c < columnar::kColumnCount; ++c) {
+        if (!columnar::decodeColumn(
+                b.codec[c], bp + b.columnOffset(c),
+                static_cast<std::size_t>(b.columnBytes[c]),
+                static_cast<std::size_t>(b.records), &cols[c])) {
+            *err = where() + " column " + columnar::columnName(c) +
+                   " malformed";
+            return TraceStatus::Corrupt;
+        }
+    }
+    // The index's cycle range must describe the records it points at,
+    // or window selection would silently skip/include records.
+    const std::vector<std::uint64_t> &cycles = cols[columnar::kColCycle];
+    if (cycles.front() != b.firstCycle || cycles.back() != b.lastCycle) {
+        *err = where() + " cycle range does not match its records";
+        return TraceStatus::Corrupt;
+    }
+    for (std::size_t i = 1; i < cycles.size(); ++i) {
+        if (cycles[i] < cycles[i - 1]) {
+            *err = "record " + std::to_string(b.firstRecord + i) +
+                   " cycle " + std::to_string(cycles[i]) +
+                   " precedes previous record's cycle " +
+                   std::to_string(cycles[i - 1]);
+            return TraceStatus::NonMonotonic;
+        }
+    }
+    FileMetrics::get().bytesRead.inc(bytes);
+    FileMetrics::get().blocksDecoded.inc();
+    return TraceStatus::Ok;
+}
+
+TraceStatus
+TraceFile::readAll(Trace *out, std::string *err) const
 {
     out->meta = meta_;
     out->records.clear();
@@ -343,11 +400,23 @@ TraceFile::readAll(Trace *out) const
         out->meta = {};
         return TraceStatus::IoError;
     }
-    const std::unique_ptr<RecordCursor> cur = cursor();
-    pebs::PebsRecord rec;
-    while (cur->next(&rec))
-        out->records.push_back(rec);
-    return cur->status();
+    // No up-front reserve of index_.records: columnar blocks can be
+    // sub-byte per record, so a crafted index could declare counts far
+    // beyond the file size; geometric growth caps the damage to the
+    // records a decode actually yields.
+    std::vector<std::uint64_t> cols[columnar::kColumnCount];
+    std::string detail;
+    for (std::size_t bi = 0; bi < index_.blocks.size(); ++bi) {
+        const TraceStatus status = decodeBlock(bi, cols, &detail);
+        if (status != TraceStatus::Ok) {
+            if (err)
+                *err = std::move(detail);
+            return status;
+        }
+        for (std::size_t i = 0; i < cols[columnar::kColCycle].size(); ++i)
+            out->records.push_back(recordAt(cols, i));
+    }
+    return TraceStatus::Ok;
 }
 
 } // namespace laser::trace

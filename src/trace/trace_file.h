@@ -1,7 +1,9 @@
 /**
  * @file
- * Seekable v3 trace reader: verify-and-decode only the bytes a replay
- * actually touches.
+ * Seekable trace reader: verify-and-decode only the bytes a replay
+ * actually touches. Also the one block decoder of the format: the full
+ * TraceReader parse is this validation plus decodeBlock() over every
+ * block.
  *
  * TraceFile::open() maps the file (openBytes() adopts an in-memory
  * image), validates the fixed header, reads the trailing index offset,
@@ -16,19 +18,19 @@
  *   - cursorForCycles(begin, end) binary-searches the blocks' cycle
  *     ranges for the window and skips boundary records outside it;
  *
- * each verifying a block's FNV-1a checksum before trusting its bytes,
- * so every byte actually read is still integrity-checked. A cursor
- * holds one decoded block at a time (O(block) memory, reported through
- * the trace/source.h buffered-records accounting) and latches a typed
- * TraceStatus if a block is corrupt mid-stream.
+ * each decoding blocks through decodeBlock(), which verifies a block's
+ * FNV-1a checksum before trusting its bytes (so every byte actually
+ * read is still integrity-checked) and rejects a cycle that decreases
+ * within the block with NonMonotonic. A cursor holds one decoded block
+ * at a time (O(block) memory, reported through the trace/source.h
+ * buffered-records accounting) and latches a typed TraceStatus if a
+ * block is corrupt mid-stream.
  *
  * Read volume is observable via the obs counters trace.file.bytes_read
  * (header + meta + index on open, plus each decoded block's encoded
  * bytes) and trace.file.blocks_decoded — the windowed-replay acceptance
- * checks are written against them.
- *
- * Only format v3 is seekable; open() returns BadVersion for v1/v2
- * files (upgrade them with `laser_trace migrate`).
+ * checks are written against them. A full TraceReader parse goes
+ * through the same code, so it is counted too.
  */
 
 #ifndef LASER_TRACE_TRACE_FILE_H
@@ -83,16 +85,38 @@ class TraceFile : public RecordSource
      * Decode the whole file into a materialized Trace (meta copy + all
      * records). Equivalent to a full TraceReader parse minus the
      * whole-payload checksum (block checksums cover the same bytes).
+     * On failure, @p err (when non-null) receives the detail message.
      */
-    [[nodiscard]] TraceStatus readAll(Trace *out) const;
+    [[nodiscard]] TraceStatus readAll(Trace *out,
+                                      std::string *err = nullptr) const;
 
   private:
     friend class FileCursor;
+    friend class TraceReader;
+
+    /**
+     * Borrow a complete file image the caller keeps alive, and validate
+     * it with the whole-payload checksum on top of the seek path's
+     * checks (TraceReader's strict parse).
+     */
+    [[nodiscard]] TraceStatus openView(const std::uint8_t *data,
+                                       std::size_t size);
 
     [[nodiscard]] TraceStatus fail(TraceStatus status,
                                    std::string detail);
-    [[nodiscard]] TraceStatus validate();
+    [[nodiscard]] TraceStatus validate(bool whole_payload_checksum);
     void unmap();
+
+    /**
+     * Decode block @p block into its four columns: verify the block
+     * checksum, decode each column, and check the records against the
+     * index's cycle range and for a decreasing cycle. The only place
+     * block payloads are decoded.
+     */
+    [[nodiscard]] TraceStatus decodeBlock(
+        std::size_t block,
+        std::vector<std::uint64_t> cols[columnar::kColumnCount],
+        std::string *err) const;
 
     /** Start of the payload within the mapped image. */
     const std::uint8_t *payload() const { return data_ + kTraceHeaderSize; }

@@ -5,10 +5,10 @@
 #define LASER_LINT_FIXTURES_MISSING_NODISCARD_H
 
 struct TraceStatus;
-struct MigrateFileResult;
 
+// Free functions, with and without parameters:
 TraceStatus unmarked();               // FLAG line 10
-MigrateFileResult alsoUnmarked(int);  // FLAG line 11
+TraceStatus alsoUnmarked(int);        // FLAG line 11
 
 [[nodiscard]] TraceStatus marked();            // ok
 [[nodiscard]] inline TraceStatus alsoMarked(); // ok

@@ -20,6 +20,7 @@
 #include "trace/capture.h"
 #include "trace/replay.h"
 #include "trace/trace.h"
+#include "trace/trace_file.h"
 
 namespace laser::trace {
 namespace {
@@ -214,6 +215,30 @@ TEST(TraceFormat, RejectsNonMonotonicCycles)
 
     // Equal adjacent cycles (records[0] and records[1]) stay accepted.
     EXPECT_EQ(reader.parse(encode(syntheticTrace())), TraceStatus::Ok);
+
+    // A decrease inside one block whose first and last cycles still
+    // bracket it ([10, 5, 20]): the index looks ordered, so the seekable
+    // file opens, but its block decode must reject the stream rather
+    // than serve records out of order (or drop them from a window).
+    Trace inner = syntheticTrace();
+    inner.records[0].cycle = 10;
+    inner.records[1].cycle = 5;
+    inner.records[2].cycle = 20;
+    const std::vector<std::uint8_t> image = encode(inner);
+    EXPECT_EQ(reader.parse(image), TraceStatus::NonMonotonic);
+    EXPECT_NE(reader.error().find("precedes"), std::string::npos);
+
+    TraceFile file;
+    ASSERT_EQ(file.openBytes(image), TraceStatus::Ok) << file.error();
+    for (const auto &cur :
+         {file.cursor(), file.cursorForCycles(6, 100)}) {
+        pebs::PebsRecord rec;
+        std::size_t yielded = 0;
+        while (cur->next(&rec))
+            ++yielded;
+        EXPECT_EQ(cur->status(), TraceStatus::NonMonotonic);
+        EXPECT_EQ(yielded, 0u);
+    }
 }
 
 TEST(TraceFormat, RejectsTrailingGarbage)
@@ -247,7 +272,7 @@ TEST(TraceFormat, ConfigHashDependsOnConfigOnly)
 
 TEST(TraceFormat, RoundTripsProtocolAndGeometry)
 {
-    // v4 config tail: coherence protocol, cache geometry and the
+    // Config tail: coherence protocol, cache geometry and the
     // Dragon-specific costs survive a write/parse cycle.
     Trace t = syntheticTrace();
     t.meta.machine.protocol = sim::ProtocolKind::Dragon;
@@ -668,18 +693,34 @@ TEST(SweepRunner, CorruptCacheFileIsResimulatedAndRepaired)
 
     core::SweepRunner::Config cfg;
     cfg.cacheDir = dir.string();
-    core::SweepRunner runner(cfg);
-    {
-        std::ofstream poison(runner.cachePath(key), std::ios::binary);
-        poison << "not a trace";
-    }
-    runner.capture(*kmeans, opt);
-    EXPECT_EQ(runner.stats().machineRuns, 1u);
-    EXPECT_EQ(runner.stats().diskCacheHits, 0u);
 
-    // The poisoned file was overwritten with a valid trace.
-    TraceReader reader;
-    EXPECT_EQ(reader.readFile(runner.cachePath(key)), TraceStatus::Ok);
+    // Poisons: junk, and this very trace stamped with another format
+    // version (a version mismatch is a cache miss, not an error).
+    std::vector<std::uint8_t> wrong_version =
+        encode(captureTrace(*kmeans, opt));
+    wrong_version[4] = static_cast<std::uint8_t>(kTraceVersion - 1);
+    const std::vector<std::pair<std::string, std::vector<std::uint8_t>>>
+        poisons = {
+            {"junk", {'n', 'o', 't', ' ', 'a', ' ', 't', 'r', 'a', 'c',
+                      'e'}},
+            {"wrong version", wrong_version},
+        };
+    for (const auto &[name, bytes] : poisons) {
+        core::SweepRunner runner(cfg);
+        {
+            std::ofstream poison(runner.cachePath(key), std::ios::binary);
+            poison.write(reinterpret_cast<const char *>(bytes.data()),
+                         std::streamsize(bytes.size()));
+        }
+        runner.capture(*kmeans, opt);
+        EXPECT_EQ(runner.stats().machineRuns, 1u) << name;
+        EXPECT_EQ(runner.stats().diskCacheHits, 0u) << name;
+
+        // The poisoned file was overwritten with a valid trace.
+        TraceReader reader;
+        EXPECT_EQ(reader.readFile(runner.cachePath(key)), TraceStatus::Ok)
+            << name;
+    }
     fs::remove_all(dir);
 }
 

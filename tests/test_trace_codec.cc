@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the LSRT v3 columnar layer: per-column codec round-trips
- * and strict rejection, block-index bomb bounds, seek-window decode
- * equivalence, streaming-replay memory bounds, legacy (v1/v2) parse
- * compatibility, cache migration, and the gc-vs-disk-hit race paths.
+ * Tests for the columnar trace layer: per-column codec round-trips and
+ * strict rejection, block-index bomb bounds, seek-window decode
+ * equivalence, streaming-replay memory bounds, header-version listings
+ * and the gc-vs-disk-hit race paths.
  */
 
 #include <gtest/gtest.h>
@@ -193,7 +193,7 @@ TEST(BlockIndex, RejectsRecordCountBombs)
 // Seekable file: window decode, corruption, read volume
 // ---------------------------------------------------------------------
 
-/** A multi-block v3 image (small blocks force many index entries). */
+/** A multi-block image (small blocks force many index entries). */
 std::vector<std::uint8_t>
 multiBlockImage(const std::vector<pebs::PebsRecord> &recs,
                 std::size_t block_records = 256)
@@ -421,98 +421,6 @@ TEST(StreamingReplay, PeakBufferedRecordsIsBlockBound)
 }
 
 // ---------------------------------------------------------------------
-// Legacy compatibility and migration
-// ---------------------------------------------------------------------
-
-TEST(LegacyTrace, V1AndV2StillParse)
-{
-    const auto *kmeans = workloads::findWorkload("kmeans");
-    ASSERT_NE(kmeans, nullptr);
-    const Trace captured = captureTrace(*kmeans);
-
-    for (const std::uint32_t version : {1u, 2u}) {
-        const std::vector<std::uint8_t> legacy =
-            encodeLegacyTrace(captured, version);
-        TraceReader reader;
-        ASSERT_EQ(reader.parse(legacy), TraceStatus::Ok)
-            << "v" << version << ": " << reader.error();
-        EXPECT_EQ(reader.version(), version);
-        EXPECT_TRUE(recordsEqual(reader.trace().records,
-                                 captured.records))
-            << "v" << version;
-        EXPECT_EQ(reader.trace().meta.workload, captured.meta.workload);
-
-        // The seekable reader has no index to seek: typed BadVersion
-        // pointing at the migration path, not a parse attempt.
-        TraceFile file;
-        EXPECT_EQ(file.openBytes(legacy), TraceStatus::BadVersion);
-        EXPECT_NE(file.error().find("migrate"), std::string::npos);
-    }
-}
-
-TEST(LegacyTrace, MigrateUpgradesAndRekeysCacheFiles)
-{
-    const auto *kmeans = workloads::findWorkload("kmeans");
-    const Trace captured = captureTrace(*kmeans);
-
-    const fs::path dir =
-        fs::temp_directory_path() / "laser_codec_migrate";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-
-    // A sweep-cache file named by its old (v2-scoped) config hash.
-    const std::uint64_t old_hash = configHashForVersion(captured.meta, 2);
-    char old_name[32];
-    std::snprintf(old_name, sizeof old_name, "%016llx%s",
-                  (unsigned long long)old_hash, kTraceExtension);
-    const fs::path old_path = dir / old_name;
-    {
-        const std::vector<std::uint8_t> legacy =
-            encodeLegacyTrace(captured, 2);
-        std::ofstream out(old_path, std::ios::binary);
-        out.write(reinterpret_cast<const char *>(legacy.data()),
-                  std::streamsize(legacy.size()));
-    }
-
-    const MigrateFileResult result =
-        migrateTraceFile(old_path.string());
-    ASSERT_EQ(result.status, TraceStatus::Ok) << result.error;
-    EXPECT_TRUE(result.upgraded);
-    EXPECT_FALSE(fs::exists(old_path)) << "old key not removed";
-
-    char new_name[32];
-    std::snprintf(new_name, sizeof new_name, "%016llx%s",
-                  (unsigned long long)configHash(captured.meta),
-                  kTraceExtension);
-    EXPECT_EQ(fs::path(result.newPath).filename().string(), new_name);
-
-    // The migrated file is current-version and replays bit-identically.
-    TraceReader reader;
-    ASSERT_EQ(reader.readFile(result.newPath), TraceStatus::Ok)
-        << reader.error();
-    EXPECT_EQ(reader.version(), kTraceVersion);
-    EXPECT_TRUE(recordsEqual(reader.trace().records, captured.records));
-    TraceReplayer before(captured);
-    TraceReplayer after(reader.trace());
-    ASSERT_TRUE(before.ok() && after.ok());
-    EXPECT_TRUE(detect::reportsIdentical(before.replayAtThreshold(1000),
-                                         after.replayAtThreshold(1000)));
-
-    // Migrating a current file is a no-op.
-    const MigrateFileResult again =
-        migrateTraceFile(result.newPath);
-    EXPECT_EQ(again.status, TraceStatus::Ok);
-    EXPECT_FALSE(again.upgraded);
-
-    // And the directory-level sweep reports what happened.
-    const CacheMigrateResult cache = migrateTraceCache(dir.string());
-    EXPECT_EQ(cache.scanned, 1u);
-    EXPECT_EQ(cache.alreadyCurrent, 1u);
-    EXPECT_EQ(cache.failed, 0u);
-    fs::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------
 // Cache gc vs concurrent use: spared and vanished entries
 // ---------------------------------------------------------------------
 
@@ -591,25 +499,41 @@ TEST(TraceCacheGc, ListingsReportHeaderVersions)
     fs::create_directories(dir);
     const auto now = fs::file_time_type::clock::now();
     writeCacheTrace(dir, "current", now);
-    {
-        Trace t;
-        t.meta = syntheticMeta();
-        t.records = syntheticRecords(10);
-        const std::vector<std::uint8_t> legacy = encodeLegacyTrace(t, 2);
-        std::ofstream out(dir / ("legacy" + std::string(kTraceExtension)),
+
+    // Foreign versions: a current image with the header's version
+    // field (bytes 4..7, little-endian) patched to either neighbour.
+    const std::vector<std::uint8_t> image =
+        multiBlockImage(syntheticRecords(10));
+    const std::uint32_t foreign[2] = {kTraceVersion - 1,
+                                      kTraceVersion + 1};
+    for (int k = 0; k < 2; ++k) {
+        std::vector<std::uint8_t> bytes = image;
+        for (int i = 0; i < 4; ++i)
+            bytes[4 + i] = std::uint8_t(foreign[k] >> (8 * i));
+        std::ofstream out(dir / ("foreign" + std::to_string(k) +
+                                 kTraceExtension),
                           std::ios::binary);
-        out.write(reinterpret_cast<const char *>(legacy.data()),
-                  std::streamsize(legacy.size()));
+        out.write(reinterpret_cast<const char *>(bytes.data()),
+                  std::streamsize(bytes.size()));
     }
 
-    std::uint32_t versions[2] = {};
+    std::size_t rows = 0;
     for (const CacheEntry &entry : listTraceCache(dir.string())) {
-        EXPECT_EQ(entry.status, TraceStatus::Ok) << entry.path;
+        ++rows;
         const std::string stem = fs::path(entry.path).stem().string();
-        versions[stem == "legacy" ? 0 : 1] = entry.version;
+        if (stem == "current") {
+            EXPECT_EQ(entry.status, TraceStatus::Ok);
+            EXPECT_EQ(entry.version, kTraceVersion);
+            continue;
+        }
+        // The header version is still reported, so `cache ls` can show
+        // which version a mismatched file carries.
+        EXPECT_EQ(entry.status, TraceStatus::BadVersion) << entry.path;
+        EXPECT_EQ(entry.version, foreign[stem == "foreign0" ? 0 : 1])
+            << entry.path;
+        EXPECT_EQ(entry.configHash, 0u) << entry.path;
     }
-    EXPECT_EQ(versions[0], 2u);
-    EXPECT_EQ(versions[1], kTraceVersion);
+    EXPECT_EQ(rows, 3u);
     fs::remove_all(dir);
 }
 

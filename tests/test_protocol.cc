@@ -12,9 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <vector>
 
+#include "baselines/sheriff.h"
+#include "core/experiment.h"
+#include "pebs/monitor.h"
 #include "sim/coherence.h"
 #include "sim/machine.h"
 #include "sim/protocol.h"
@@ -30,16 +34,10 @@ namespace {
 // CoherenceDirectory machine
 // ---------------------------------------------------------------------
 
-/**
- * Order-sensitive FNV-1a digest over every HITM event's full payload.
- * Field order and the (non-standard, historical) offset basis must not
- * change: the golden table below was captured with exactly this sink
- * running against the pre-refactor directory-MESI machine.
- */
-struct HashingSink final : PmuSink
+/** Order-sensitive FNV-1a over 64-bit words, low byte first. */
+struct Fnv
 {
     std::uint64_t hash = 1469598103934665603ULL;
-    std::uint64_t count = 0;
 
     void
     mix(std::uint64_t v)
@@ -49,6 +47,17 @@ struct HashingSink final : PmuSink
             hash *= 1099511628211ULL;
         }
     }
+};
+
+/**
+ * Order-sensitive FNV-1a digest over every HITM event's full payload.
+ * Field order and the (non-standard, historical) offset basis must not
+ * change: the golden table below was captured with exactly this sink
+ * running against the pre-refactor directory-MESI machine.
+ */
+struct HashingSink final : PmuSink, Fnv
+{
+    std::uint64_t count = 0;
 
     std::uint64_t
     onHitm(const HitmEvent &e) override
@@ -137,6 +146,271 @@ TEST(ProtocolIdentity, MesiReproducesPreRefactorHitmStreams)
         EXPECT_EQ(sink.hash, golden.streamHash) << golden.workload;
         EXPECT_EQ(stats.hitmTotal(), golden.hitmCount)
             << golden.workload;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Schedule-sensitive goldens: every path whose costs feed back into the
+// clocks (and so into the interleaving) — Dragon at a non-default line
+// size, Sheriff execution with sync costs, a real PEBS monitor, and the
+// full LASER scheme with its SSB-repaired re-run
+// ---------------------------------------------------------------------
+
+/**
+ * Order-sensitive digest of every PMU callback the machine raises, in
+ * the order it raises them. Cycle costs can be fed back: an inner sink
+ * (e.g. a PebsMonitor) is forwarded every callback and its costs are
+ * returned, and a Sheriff cost model charges each sync operation.
+ */
+struct ScheduleSink final : PmuSink, Fnv
+{
+    PmuSink *inner = nullptr;
+    const baselines::SheriffConfig *sheriff = nullptr;
+
+    std::uint64_t
+    onHitm(const HitmEvent &e) override
+    {
+        mix(1);
+        mix(static_cast<std::uint64_t>(e.core));
+        mix(e.pcIndex);
+        mix(e.vaddr);
+        mix(e.accessSize);
+        mix(e.isLoadUop ? 1 : 0);
+        mix(e.isStore ? 1 : 0);
+        mix(e.cycle);
+        return inner ? inner->onHitm(e) : 0;
+    }
+
+    std::uint64_t
+    onMemop(int core, std::uint32_t pc_index, bool is_write,
+            std::uint64_t cycle) override
+    {
+        mix(2);
+        mix(static_cast<std::uint64_t>(core));
+        mix(pc_index);
+        mix(is_write ? 1 : 0);
+        mix(cycle);
+        return inner ? inner->onMemop(core, pc_index, is_write, cycle) : 0;
+    }
+
+    std::uint64_t
+    onSync(int core, isa::SyncKind kind, std::uint64_t dirty_pages,
+           std::uint64_t cycle) override
+    {
+        mix(3);
+        mix(static_cast<std::uint64_t>(core));
+        mix(static_cast<std::uint64_t>(kind));
+        mix(dirty_pages);
+        mix(cycle);
+        std::uint64_t cost =
+            inner ? inner->onSync(core, kind, dirty_pages, cycle) : 0;
+        if (sheriff)
+            cost += baselines::sheriffSyncCost(*sheriff, dirty_pages);
+        return cost;
+    }
+};
+
+/** Fold every MachineStats field, per-thread vectors included. */
+void
+mixStats(Fnv &f, const MachineStats &s)
+{
+    for (const std::uint64_t v :
+         {s.cycles, s.instructions, s.loads, s.stores, s.atomics,
+          s.l1Hits, s.llcHits, s.memMisses, s.upgrades, s.rfos,
+          s.hitmLoads, s.hitmStores, s.syncOps, s.ssbStores,
+          s.ssbLoadHits, s.ssbFlushes, s.ssbFlushedEntries,
+          s.ssbMaxEntriesSeen, s.aliasChecks, s.aliasMisspecs,
+          static_cast<std::uint64_t>(s.truncated)})
+        f.mix(v);
+    for (const std::uint64_t v : s.threadCycles)
+        f.mix(v);
+    for (const std::uint64_t v : s.threadInstructions)
+        f.mix(v);
+}
+
+enum class ScheduleConfig { Dragon128, Sheriff, Pebs };
+
+/** Run @p workload under @p config; digest of callbacks + stats. */
+std::uint64_t
+scheduleDigest(const workloads::WorkloadDef &def, ScheduleConfig config)
+{
+    workloads::WorkloadBuild build = def.build({});
+    MachineConfig mc;
+    if (config == ScheduleConfig::Dragon128) {
+        mc.protocol = ProtocolKind::Dragon;
+        mc.geometry.lineBytes = 128;
+    }
+    if (config == ScheduleConfig::Sheriff) {
+        mc.threadsAsProcesses = true;
+        mc.trackDirtyPages = true;
+    }
+    Machine machine(std::move(build.program), mc);
+    build.applyTo(machine);
+
+    ScheduleSink sink;
+    const baselines::SheriffConfig sheriff{};
+    if (config == ScheduleConfig::Sheriff)
+        sink.sheriff = &sheriff;
+    std::optional<pebs::PebsMonitor> monitor;
+    if (config == ScheduleConfig::Pebs) {
+        monitor.emplace(machine.addressSpace(), machine.program().size(),
+                        mc.timing);
+        sink.inner = &*monitor;
+    }
+    machine.setPmuSink(&sink);
+    const MachineStats stats = machine.run();
+    mixStats(sink, stats);
+    if (monitor) {
+        monitor->finish();
+        sink.mix(monitor->records().size());
+        sink.mix(monitor->stats().interrupts);
+        sink.mix(monitor->stats().appCycles);
+    }
+    return sink.hash;
+}
+
+struct ScheduleGolden
+{
+    const char *workload;
+    std::uint64_t dragon128; ///< Dragon bus, 128-byte lines
+    std::uint64_t sheriff;   ///< threads as processes + dirty pages
+    std::uint64_t pebs;      ///< MESI under a charging PebsMonitor
+};
+
+/** Captured from the machine whose HITM streams kGoldenHitmStreams
+ *  pins; any change to the order of shared operations moves them. */
+constexpr ScheduleGolden kScheduleGoldens[] = {
+    {"barnes", 0x782beb063493e2b5ULL, 0x1964bb4fd16e5a74ULL,
+     0x7bd8b7127104e24bULL},
+    {"blackscholes", 0xc79ab0182fa702e8ULL, 0x4f15c421b1336316ULL,
+     0xe3c9d8577f09d21eULL},
+    {"bodytrack", 0xfa06c3baa2b26c02ULL, 0x71fd05ff761deaf6ULL,
+     0xe4edc18ab892e961ULL},
+    {"canneal", 0x9c1405e92954fa14ULL, 0x58c2e93f296f2a5bULL,
+     0xcc29a8e46d1c048eULL},
+    {"dedup", 0x79af5e62b9bd3e50ULL, 0x20921dc9fdbb4e3aULL,
+     0xfc5eb39230cb6945ULL},
+    {"facesim", 0x6fe22c4a4a1610a8ULL, 0x7aee10eb41408ae4ULL,
+     0x1d19dd6c29a9efeeULL},
+    {"ferret", 0x72576820127c1dc1ULL, 0x5e21c1c71879c3d5ULL,
+     0xb19daf35ffc945eaULL},
+    {"fft", 0x985bae2fd3aec172ULL, 0x665922293eca31d8ULL,
+     0xb9fd4d0a560fc30aULL},
+    {"fluidanimate", 0xc11aa3b2feca9c40ULL, 0xac05183e0caa6b6dULL,
+     0x0b3fb295af62b4feULL},
+    {"fmm", 0xf7d8045f49d62a4bULL, 0x41ed6713b0d22132ULL,
+     0xaa1399508e484fd7ULL},
+    {"freqmine", 0xaa438275d1215774ULL, 0x88b023810e0fcadcULL,
+     0x1e3f9733b5b095daULL},
+    {"histogram", 0xad427bc62b3af6caULL, 0x8cee2fb2e3f1af6fULL,
+     0x3f5c203867f16c55ULL},
+    {"histogram'", 0xd99c6c712f7ae91fULL, 0x8cee2fb2e3f1af6fULL,
+     0xa4563ad33a5479a9ULL},
+    {"kmeans", 0xaf6e80aa160144efULL, 0x0f1bacd83c94497bULL,
+     0xe4702ffdb5335f81ULL},
+    {"linear_regression", 0xd5c898c6ab01ab27ULL, 0xd5518ddf68c53a96ULL,
+     0x81724df0814a2dacULL},
+    {"lu_cb", 0x70fd21c67083e557ULL, 0x450d2fdcc6b14587ULL,
+     0x1b9725dfb58671bfULL},
+    {"lu_ncb", 0xe5ff7a06b6765697ULL, 0x431e41a036f254b6ULL,
+     0x2910470cecb455f8ULL},
+    {"matrix_multiply", 0x6dcfa5639598034fULL, 0x0c18b501f4cf236fULL,
+     0x50587d6619ddd7c3ULL},
+    {"ocean_cp", 0x905539a0484c6999ULL, 0xc638ad19750c2418ULL,
+     0x5c00113cc9c4b519ULL},
+    {"ocean_ncp", 0xf61fbee4cef71128ULL, 0x0fea6cf5dbf6e36bULL,
+     0x2612715c331b1405ULL},
+    {"pca", 0x05815763b317733fULL, 0x0b1e7a40c7fbf7beULL,
+     0x9f8f2837e7a36e9cULL},
+    {"radiosity", 0x7ddcda9b7f68555dULL, 0xd9145f002d6c693fULL,
+     0xc7d36436d6f9922eULL},
+    {"radix", 0x9845d974fbc7825fULL, 0xd7cbc624251fd38fULL,
+     0x1164d8af594ed5aeULL},
+    {"raytrace.parsec", 0x3aa30a82a61c02abULL, 0x4e98edf15f3b2cd4ULL,
+     0x2b1a79762eb13bfeULL},
+    {"raytrace.splash2x", 0xf6816c3fe85c1699ULL, 0x1d0cd06323de0118ULL,
+     0xa40b8ea7519b8f09ULL},
+    {"reverse_index", 0xc485d2fd030c744dULL, 0x95901fd3c228aa5dULL,
+     0xd9b1f16bac6ba16fULL},
+    {"streamcluster", 0x7a8b1a0adf2f40b8ULL, 0xf69e22d905706082ULL,
+     0xb9761eac62662052ULL},
+    {"string_match", 0x563da90e52259978ULL, 0x1badff68e3e40db1ULL,
+     0x8626cc0606e69544ULL},
+    {"swaptions", 0xac28931c6ebb9752ULL, 0xc1098cdff5ebbf5dULL,
+     0xe4e0a68c08074a12ULL},
+    {"vips", 0x8935bef2f0cdc39cULL, 0x822cb67461388fd8ULL,
+     0xa4578dea0e616a9eULL},
+    {"volrend", 0xd6988512dbf9888fULL, 0xc8fd0d5130684028ULL,
+     0x672d156a95907023ULL},
+    {"water_nsquared", 0x0b120a046d91ef90ULL, 0x7c95b87833748994ULL,
+     0x85c0c72829a8db65ULL},
+    {"water_spatial", 0x4d1d9bf5e70aeac9ULL, 0x7c9933d0f43bbf7aULL,
+     0x244ab7c731ed8188ULL},
+    {"word_count", 0x0ce4cd7a6d0e1f85ULL, 0x93a77dd3079e1a2fULL,
+     0x29d380ab6d5859dfULL},
+    {"x264", 0xde04542e2f86ffa9ULL, 0xc371649a57a399c0ULL,
+     0xc34e999ea6fde0f5ULL},
+};
+
+TEST(ScheduleIdentity, CostFeedbackPathsReproduceGoldens)
+{
+    const auto &all = workloads::allWorkloads();
+    ASSERT_EQ(all.size(),
+              sizeof kScheduleGoldens / sizeof kScheduleGoldens[0]);
+    for (const ScheduleGolden &golden : kScheduleGoldens) {
+        const workloads::WorkloadDef *def =
+            workloads::findWorkload(golden.workload);
+        ASSERT_NE(def, nullptr) << golden.workload;
+        EXPECT_EQ(scheduleDigest(*def, ScheduleConfig::Dragon128),
+                  golden.dragon128)
+            << golden.workload;
+        EXPECT_EQ(scheduleDigest(*def, ScheduleConfig::Sheriff),
+                  golden.sheriff)
+            << golden.workload;
+        EXPECT_EQ(scheduleDigest(*def, ScheduleConfig::Pebs), golden.pebs)
+            << golden.workload;
+    }
+}
+
+struct LaserGolden
+{
+    const char *workload;
+    std::uint64_t runtimeCycles;
+    bool repairApplied;
+    std::uint64_t digest; ///< runtimeCycles + monitored-run stats
+};
+
+/** ExperimentRunner's full LASER scheme over the known-bug workloads:
+ *  runtimeCycles composes the monitored run with the repaired re-run. */
+constexpr LaserGolden kLaserGoldens[] = {
+    {"bodytrack", 492948ULL, false, 0xdc1992f51fe432c8ULL},
+    {"dedup", 448923ULL, false, 0x08bd4eef1a83463eULL},
+    {"histogram'", 1643830ULL, true, 0xf2301bdb06d02ee3ULL},
+    {"kmeans", 518678ULL, false, 0x79ab849b96f81510ULL},
+    {"linear_regression", 647815ULL, true, 0x8728c66e2fdf7f0cULL},
+    {"lu_ncb", 473824ULL, false, 0x245186a2f0abd30bULL},
+    {"reverse_index", 397352ULL, false, 0x75a46afded30252eULL},
+    {"streamcluster", 369636ULL, true, 0x5d50878b13ebb5e3ULL},
+    {"volrend", 527828ULL, false, 0x0fa90fec9ffe5319ULL},
+};
+
+TEST(ScheduleIdentity, LaserSchemeReproducesGoldens)
+{
+    const std::vector<const workloads::WorkloadDef *> buggy =
+        workloads::buggyWorkloads();
+    ASSERT_EQ(buggy.size(), sizeof kLaserGoldens / sizeof kLaserGoldens[0]);
+    core::ExperimentRunner runner;
+    for (const LaserGolden &golden : kLaserGoldens) {
+        const workloads::WorkloadDef *def =
+            workloads::findWorkload(golden.workload);
+        ASSERT_NE(def, nullptr) << golden.workload;
+        const core::RunResult r = runner.run(*def, core::Scheme::Laser);
+        Fnv f;
+        f.mix(r.runtimeCycles);
+        mixStats(f, r.stats);
+        EXPECT_EQ(r.runtimeCycles, golden.runtimeCycles) << golden.workload;
+        EXPECT_EQ(r.repairApplied, golden.repairApplied) << golden.workload;
+        EXPECT_EQ(f.hash, golden.digest) << golden.workload;
     }
 }
 

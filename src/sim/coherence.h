@@ -22,6 +22,7 @@
 #ifndef LASER_SIM_COHERENCE_H
 #define LASER_SIM_COHERENCE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 
@@ -37,6 +38,9 @@ enum class AccessOutcome : std::uint8_t {
     Upgrade,   ///< local S copy upgraded to M (invalidates remote sharers)
     RfoShared, ///< I->M acquiring a line with remote clean copies
 };
+
+/** Number of AccessOutcome values (for per-outcome tables). */
+inline constexpr std::size_t kAccessOutcomeCount = 7;
 
 /** Printable name for an access outcome. */
 const char *accessOutcomeName(AccessOutcome outcome);

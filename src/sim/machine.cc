@@ -2,13 +2,59 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
 
 namespace laser::sim {
 
 using isa::Instruction;
 using isa::Op;
 using isa::SyncKind;
+
+namespace {
+
+/**
+ * True for ops that read and write only their own thread's registers,
+ * pc, clock and halted flag, and so commute with anything another
+ * thread does. Every other op is shared: it may touch the coherence
+ * protocol, memory, the PMU sink, the TSO trace or the SSB flush path.
+ * An op missing from this list is treated as shared, which is always
+ * safe.
+ */
+constexpr bool
+threadLocal(Op op)
+{
+    switch (op) {
+      case Op::Nop:
+      case Op::Halt:
+      case Op::MovImm:
+      case Op::MovReg:
+      case Op::Add:
+      case Op::AddImm:
+      case Op::Sub:
+      case Op::SubImm:
+      case Op::Mul:
+      case Op::MulImm:
+      case Op::And:
+      case Op::Or:
+      case Op::Xor:
+      case Op::ShlImm:
+      case Op::ShrImm:
+      case Op::Jmp:
+      case Op::JmpReg:
+      case Op::Call:
+      case Op::Ret:
+      case Op::Beq:
+      case Op::Bne:
+      case Op::Blt:
+      case Op::Bge:
+      case Op::Pause:
+      case Op::Tid:
+        return true;
+      default:
+        return false;
+    }
+}
+
+} // namespace
 
 Machine::Machine(isa::Program prog, MachineConfig cfg)
     : prog_(std::move(prog)),
@@ -30,6 +76,21 @@ Machine::Machine(isa::Program prog, MachineConfig cfg)
     }
     stats_.threadCycles.resize(cfg.numCores, 0);
     stats_.threadInstructions.resize(cfg.numCores, 0);
+
+    // Per-protocol cycle costs: Dragon's dirty intervention and bus
+    // update replace MESI's HITM transfer and S->M upgrade.
+    const TimingModel &tm = cfg_.timing;
+    const bool dragon = cfg_.protocol == ProtocolKind::Dragon;
+    const auto set = [&](AccessOutcome o, std::uint32_t cycles) {
+        outcomeCost_[static_cast<std::size_t>(o)] = cycles;
+    };
+    set(AccessOutcome::L1Hit, tm.l1Hit);
+    set(AccessOutcome::LlcHit, tm.llcHit);
+    set(AccessOutcome::MemMiss, tm.memMiss);
+    set(AccessOutcome::HitmLoad, dragon ? tm.dragonHitm : tm.hitm);
+    set(AccessOutcome::HitmStore, dragon ? tm.dragonHitm : tm.hitm);
+    set(AccessOutcome::Upgrade, dragon ? tm.dragonUpdate : tm.upgrade);
+    set(AccessOutcome::RfoShared, tm.rfoShared);
 }
 
 void
@@ -71,43 +132,30 @@ Machine::memAccess(ThreadCtx &t, std::uint64_t addr, int size,
         return cost;
     }
 
-    // Per-protocol cycle costs: Dragon's dirty intervention and bus
-    // update replace MESI's HITM transfer and S->M upgrade.
-    const bool dragon = cfg_.protocol == ProtocolKind::Dragon;
-    const std::uint32_t hitm_cost = dragon ? tm.dragonHitm : tm.hitm;
-    const std::uint32_t upgrade_cost =
-        dragon ? tm.dragonUpdate : tm.upgrade;
-
     const AccessOutcome outcome =
         proto_->access(t.tid, addr, is_write, is_load_class);
+    cost += outcomeCost_[static_cast<std::size_t>(outcome)];
     switch (outcome) {
       case AccessOutcome::L1Hit:
         ++stats_.l1Hits;
-        cost += tm.l1Hit;
         break;
       case AccessOutcome::LlcHit:
         ++stats_.llcHits;
-        cost += tm.llcHit;
         break;
       case AccessOutcome::MemMiss:
         ++stats_.memMisses;
-        cost += tm.memMiss;
         break;
       case AccessOutcome::HitmLoad:
         ++stats_.hitmLoads;
-        cost += hitm_cost;
         break;
       case AccessOutcome::HitmStore:
         ++stats_.hitmStores;
-        cost += hitm_cost;
         break;
       case AccessOutcome::Upgrade:
         ++stats_.upgrades;
-        cost += upgrade_cost;
         break;
       case AccessOutcome::RfoShared:
         ++stats_.rfos;
-        cost += tm.rfoShared;
         break;
     }
 
@@ -166,19 +214,22 @@ Machine::flushSsb(ThreadCtx &t)
     // Coalescing mode: the flush is one hardware transaction — all lines
     // are acquired and all bytes become visible atomically (strong
     // atomicity, Section 5.5), so no illegal reordering is observable.
+    // drain() returns chunks in ascending address order, so each line is
+    // acquired once, in ascending order, by skipping repeats of the
+    // previous chunk's line.
     const std::uint64_t line_bytes = proto_->lineBytes();
-    std::set<std::uint64_t> lines;
     std::uint64_t min_seq = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t max_seq = 0;
-    for (const SsbDrainEntry &e : entries) {
-        lines.insert(proto_->lineOf(e.addr));
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const SsbDrainEntry &e = entries[i];
+        const std::uint64_t line = proto_->lineOf(e.addr);
+        if (i == 0 || line != proto_->lineOf(entries[i - 1].addr))
+            cost += memAccess(t, line * line_bytes,
+                              static_cast<int>(line_bytes), true, false,
+                              false);
         min_seq = std::min(min_seq, e.minSeq);
         max_seq = std::max(max_seq, e.maxSeq);
     }
-    for (std::uint64_t line : lines)
-        cost += memAccess(t, line * line_bytes,
-                          static_cast<int>(line_bytes), true, false,
-                          false);
     for (const SsbDrainEntry &e : entries) {
         for (int lane = 0; lane < 8; ++lane) {
             if (e.validMask & (1u << lane))
@@ -474,15 +525,37 @@ Machine::run()
         return stats_;
     ran_ = true;
 
+    // Pick the runnable thread with the lowest (clock, tid) and keep
+    // running it while its next instruction is thread-local or it is
+    // still ahead of the runner-up, whose clock cannot move meanwhile.
+    // Every shared instruction therefore executes exactly when a
+    // one-instruction-at-a-time lowest-clock scheduler would run it.
     while (stats_.instructions < cfg_.maxInstructions) {
         ThreadCtx *best = nullptr;
+        ThreadCtx *rival = nullptr;
         for (ThreadCtx &t : threads_) {
-            if (!t.halted && (!best || t.clock < best->clock))
+            if (t.halted)
+                continue;
+            if (!best || t.clock < best->clock) {
+                rival = best;
                 best = &t;
+            } else if (!rival || t.clock < rival->clock) {
+                rival = &t;
+            }
         }
         if (!best)
             break;
-        execute(*best);
+        // Threads are scanned in tid order, so on equal clocks the
+        // lower tid is best and stays ahead of rival.
+        const auto ahead = [&] {
+            return !rival || best->clock < rival->clock ||
+                   (best->clock == rival->clock && best->tid < rival->tid);
+        };
+        do {
+            execute(*best);
+        } while (!best->halted &&
+                 stats_.instructions < cfg_.maxInstructions &&
+                 (threadLocal(prog_.code[best->pc].op) || ahead()));
     }
 
     if (stats_.instructions >= cfg_.maxInstructions)

@@ -5,12 +5,26 @@
  * MachineConfig::protocol), a cycle cost model, SSB-aware execution,
  * and PMU callbacks.
  *
- * Scheduling is event-driven lowest-clock-first: at every step the
- * runnable thread with the smallest core clock executes one instruction
- * and advances its clock by that instruction's cost. This makes timing
- * feedback shape interleavings the way real contention does (a core
- * stalled on a HITM transfer falls behind and its rival gets ahead),
- * while staying fully deterministic.
+ * Scheduling is event-driven lowest-clock-first: every instruction that
+ * other threads can observe runs when its thread has the smallest
+ * (clock, tid) of all runnable threads, and advances that clock by its
+ * cost. This makes timing feedback shape interleavings the way real
+ * contention does (a core stalled on a HITM transfer falls behind and
+ * its rival gets ahead), while staying fully deterministic.
+ *
+ * Instructions are either shared or thread-local. Shared ones (Load,
+ * Store, AddMem, Cas, FetchAdd, Fence, SsbFlush, AliasCheck) may touch
+ * the coherence protocol, memory, the PMU sink, the TSO trace or the
+ * SSB flush path. Thread-local ones (ALU ops, branches, Tid, Pause,
+ * Halt) change only their own thread's registers, pc and clock, so
+ * they commute with everything other threads do. The scheduler
+ * therefore keeps running the lowest-clock thread while its next
+ * instruction is thread-local, even past the runner-up's clock, and
+ * switches only at a shared instruction the thread no longer reaches
+ * first. Shared instructions run in exactly the order, at exactly the
+ * clocks, that one-instruction-at-a-time lowest-clock scheduling gives,
+ * so their outcomes, costs, jitter draws and sink callbacks are the
+ * same; only the host-side order of thread-local work differs.
  */
 
 #ifndef LASER_SIM_MACHINE_H
@@ -54,7 +68,12 @@ struct MachineConfig
     std::uint64_t seed = 0x1a5e2;
     /** Enable the +-1 cycle memory-latency jitter. */
     bool latencyJitter = true;
-    /** Runaway-program guard. */
+    /**
+     * Runaway-program guard. A truncated run still executes exactly
+     * maxInstructions instructions, but they are no longer the exact
+     * lowest-clock prefix: a thread may have run ahead through
+     * thread-local instructions when the budget ran out.
+     */
     std::uint64_t maxInstructions = 400'000'000;
     /**
      * Bytes added to the initial heap break before the first allocation;
@@ -184,6 +203,8 @@ class Machine
 
     isa::Program prog_;
     MachineConfig cfg_;
+    /** Cycle cost of each AccessOutcome under the configured protocol. */
+    std::array<std::uint32_t, kAccessOutcomeCount> outcomeCost_{};
     mem::Memory mem_;
     mem::AddressSpace space_;
     mem::BumpAllocator heap_;

@@ -13,7 +13,7 @@ AccessOutcome
 DragonBus::access(int core, std::uint64_t addr, bool is_write,
                   bool is_load_class)
 {
-    LineInfo &li = lines_[lineOf(addr)];
+    LineInfo &li = lines_.findOrInsert(lineOf(addr));
     const std::uint32_t me = 1u << core;
     const bool mine = (li.sharers & me) != 0;
     const bool remote_dirty = li.owner >= 0 && li.owner != core;
@@ -91,33 +91,30 @@ DragonBus::access(int core, std::uint64_t addr, bool is_write,
 const DragonBus::LineInfo *
 DragonBus::probe(std::uint64_t line_addr) const
 {
-    auto it = lines_.find(line_addr);
-    return it == lines_.end() ? nullptr : &it->second;
+    return lines_.find(line_addr);
 }
 
 bool
 DragonBus::checkInvariants() const
 {
-    for (const auto &[line, li] : lines_) {
-        if (li.sharers == 0)
-            return false;
-        if (li.sharers >= (1u << numCores_))
-            return false;
+    bool ok = true;
+    lines_.forEach([&](std::uint64_t, const LineInfo &li) {
+        if (li.sharers == 0 || li.sharers >= (1u << numCores_))
+            ok = false;
         if (li.owner != -1) {
             // The dirty owner (M or Sm) must itself hold a copy; there
             // is at most one by construction (single owner field).
-            if (li.owner < 0 || li.owner >= numCores_)
-                return false;
-            if ((li.sharers & (1u << li.owner)) == 0)
-                return false;
+            if (li.owner < 0 || li.owner >= numCores_ ||
+                    (li.sharers & (1u << li.owner)) == 0)
+                ok = false;
         }
         if (li.exclusiveClean) {
             // E: sole copy, clean (Illinois clean-exclusive rule).
             if (std::popcount(li.sharers) != 1 || li.owner != -1)
-                return false;
+                ok = false;
         }
-    }
-    return true;
+    });
+    return ok;
 }
 
 } // namespace laser::sim

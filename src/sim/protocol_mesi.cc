@@ -16,20 +16,19 @@ MesiDirectory::MesiDirectory(int num_cores, const CacheGeometry &geometry)
 void
 MesiDirectory::evictLine(int core, std::uint64_t line)
 {
-    auto it = lines_.find(line);
-    if (it == lines_.end())
+    LineInfo *li = lines_.find(line);
+    if (!li)
         return;
-    LineInfo &li = it->second;
-    li.sharers &= ~(1u << core);
-    if (li.owner == core) {
+    li->sharers &= ~(1u << core);
+    if (li->owner == core) {
         // An evicted M line writes back to memory; an evicted E line is
         // simply dropped. Either way the line is clean and unowned.
-        li.modified = false;
-        li.exclusive = false;
-        li.owner = -1;
+        li->modified = false;
+        li->exclusive = false;
+        li->owner = -1;
     }
-    if (li.sharers == 0)
-        lines_.erase(it);
+    if (li->sharers == 0)
+        lines_.erase(line);
     ++evictions_;
 }
 
@@ -59,7 +58,7 @@ MesiDirectory::access(int core, std::uint64_t addr, bool is_write,
 {
     const std::uint64_t line = lineOf(addr);
     touchLru(core, line);
-    LineInfo &li = lines_[line];
+    LineInfo &li = lines_.findOrInsert(line);
     const std::uint32_t me = 1u << core;
     const bool mine = (li.sharers & me) != 0;
 
@@ -127,36 +126,31 @@ MesiDirectory::access(int core, std::uint64_t addr, bool is_write,
 const MesiDirectory::LineInfo *
 MesiDirectory::probe(std::uint64_t line_addr) const
 {
-    auto it = lines_.find(line_addr);
-    return it == lines_.end() ? nullptr : &it->second;
+    return lines_.find(line_addr);
 }
 
 bool
 MesiDirectory::checkInvariants() const
 {
-    for (const auto &[line, li] : lines_) {
-        if (li.sharers == 0)
-            return false;
+    bool ok = true;
+    lines_.forEach([&](std::uint64_t, const LineInfo &li) {
+        if (li.sharers == 0 || li.sharers >= (1u << numCores_))
+            ok = false;
         if (li.modified && li.exclusive)
-            return false;
+            ok = false;
         if (li.modified || li.exclusive) {
             // Illinois rules: a dirty (M) or exclusive-clean (E) line
             // has exactly one sharer, and that sharer is the owner — so
             // the owner is never in another line's sharer set here.
-            if (std::popcount(li.sharers) != 1)
-                return false;
-            if (li.owner < 0 || li.owner >= numCores_)
-                return false;
-            if (li.sharers != (1u << li.owner))
-                return false;
+            if (std::popcount(li.sharers) != 1 || li.owner < 0 ||
+                    li.owner >= numCores_ || li.sharers != (1u << li.owner))
+                ok = false;
         } else if (li.owner != -1) {
             // Audit addition: Shared lines are unowned.
-            return false;
+            ok = false;
         }
-        if (li.sharers >= (1u << numCores_))
-            return false;
-    }
-    return true;
+    });
+    return ok;
 }
 
 } // namespace laser::sim

@@ -29,9 +29,9 @@
 
 #include <cstdint>
 #include <list>
-#include <unordered_map>
 #include <vector>
 
+#include "sim/line_table.h"
 #include "sim/protocol.h"
 
 namespace laser::sim {
@@ -72,7 +72,7 @@ class MesiDirectory final : public CoherenceProtocol
     void touchLru(int core, std::uint64_t line);
     void evictLine(int core, std::uint64_t line);
 
-    std::unordered_map<std::uint64_t, LineInfo> lines_;
+    LineTable<LineInfo> lines_;
     /** Per-core, per-set resident lines, MRU first (bounded geometry
      *  only; empty when unbounded). */
     std::vector<std::vector<std::list<std::uint64_t>>> lru_;

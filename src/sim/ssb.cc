@@ -115,7 +115,8 @@ SoftwareStoreBuffer::drain()
                 }
                 out.push_back(e);
                 a += take;
-                v >>= 8 * take;
+                // A whole 8-byte take consumes v; shifting by 64 is UB.
+                v = take == 8 ? 0 : v >> (8 * take);
                 remaining -= take;
             }
         }

@@ -14,12 +14,14 @@
 #include <cstdint>
 #include <optional>
 #include <random>
+#include <unordered_map>
 #include <vector>
 
 #include "baselines/sheriff.h"
 #include "core/experiment.h"
 #include "pebs/monitor.h"
 #include "sim/coherence.h"
+#include "sim/line_table.h"
 #include "sim/machine.h"
 #include "sim/protocol.h"
 #include "sim/protocol_dragon.h"
@@ -694,6 +696,92 @@ TEST(Geometry, UnboundedMesiNeverEvicts)
         mesi.access(0, i * 64, false, true);
     EXPECT_EQ(mesi.evictions(), 0u);
     EXPECT_EQ(mesi.linesTouched(), 1000u);
+}
+
+// ---------------------------------------------------------------------
+// LineTable: the flat line directory behind both protocols
+// ---------------------------------------------------------------------
+
+/** First @p n keys (from 1 up) whose probe starts at @p home. */
+std::vector<std::uint64_t>
+keysHomedAt(const LineTable<int> &table, std::size_t home, int n)
+{
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t k = 1; static_cast<int>(keys.size()) < n; ++k) {
+        if (table.homeSlot(k) == home)
+            keys.push_back(k);
+    }
+    return keys;
+}
+
+TEST(LineTable, EraseAcrossWrappedProbeCluster)
+{
+    LineTable<int> table;
+    const std::size_t last = table.capacity() - 1;
+    const std::vector<std::uint64_t> tail = keysHomedAt(table, last, 3);
+    const std::uint64_t head = keysHomedAt(table, 0, 1)[0];
+
+    // One cluster wrapping the end of the slot array:
+    // [last] tail[0] | [0] tail[1] | [1] head | [2] tail[2].
+    table.findOrInsert(tail[0]) = 10;
+    table.findOrInsert(tail[1]) = 11;
+    table.findOrInsert(head) = 20;
+    table.findOrInsert(tail[2]) = 12;
+    ASSERT_EQ(table.capacity(), last + 1); // no growth: layout holds
+
+    // Erasing the cluster's first entry shifts the wrapped ones back.
+    table.erase(tail[0]);
+    EXPECT_EQ(table.size(), 3u);
+    EXPECT_EQ(table.find(tail[0]), nullptr);
+    ASSERT_NE(table.find(tail[1]), nullptr);
+    EXPECT_EQ(*table.find(tail[1]), 11);
+    ASSERT_NE(table.find(head), nullptr);
+    EXPECT_EQ(*table.find(head), 20);
+    ASSERT_NE(table.find(tail[2]), nullptr);
+    EXPECT_EQ(*table.find(tail[2]), 12);
+
+    // Erasing from the wrapped middle keeps the rest reachable too.
+    table.erase(head);
+    table.erase(head); // absent: no-op
+    EXPECT_EQ(table.size(), 2u);
+    EXPECT_EQ(*table.find(tail[1]), 11);
+    EXPECT_EQ(*table.find(tail[2]), 12);
+    std::size_t seen = 0;
+    table.forEach([&](std::uint64_t, int) { ++seen; });
+    EXPECT_EQ(seen, 2u);
+}
+
+TEST(LineTable, MatchesUnorderedMapUnderRandomInsertErase)
+{
+    std::mt19937_64 rng(2016);
+    // A small pool of random line addresses: Fibonacci hashing spreads
+    // them like random slots, so probe clusters form and erases hit them.
+    std::vector<std::uint64_t> pool(512);
+    for (std::uint64_t &key : pool)
+        key = rng() >> 24;
+    LineTable<int> table;
+    std::unordered_map<std::uint64_t, int> reference;
+    for (int i = 0; i < 50000; ++i) {
+        const std::uint64_t key = pool[rng() % pool.size()];
+        if (rng() % 3 == 0) {
+            table.erase(key);
+            reference.erase(key);
+        } else {
+            table.findOrInsert(key) = i;
+            reference[key] = i;
+        }
+    }
+    EXPECT_EQ(table.size(), reference.size());
+    for (const std::uint64_t key : pool) {
+        const auto it = reference.find(key);
+        const int *got = table.find(key);
+        if (it == reference.end()) {
+            EXPECT_EQ(got, nullptr) << key;
+        } else {
+            ASSERT_NE(got, nullptr) << key;
+            EXPECT_EQ(*got, it->second) << key;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

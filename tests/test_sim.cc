@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "isa/assembler.h"
 #include "sim/coherence.h"
 #include "sim/machine.h"
@@ -477,6 +479,79 @@ TEST(Machine, ContendedRunIsSlowerThanPadded)
     const auto slow = contended.run().cycles;
     const auto fast = padded.run().cycles;
     EXPECT_GT(slow, fast * 3 / 2); // contention costs real time
+}
+
+// ---------------------------------------------------------------------
+// Scheduler edge cases
+// ---------------------------------------------------------------------
+
+TEST(Scheduler, TruncatedRunExecutesExactlyMaxInstructions)
+{
+    Asm a("spin");
+    Asm::Label self = a.here();
+    a.jmp(self);
+    MachineConfig cfg;
+    cfg.maxInstructions = 1000;
+    Machine m(a.finalize(), cfg);
+    const MachineStats s = m.run();
+    EXPECT_TRUE(s.truncated);
+    EXPECT_EQ(s.instructions, 1000u);
+    std::uint64_t per_thread = 0;
+    for (const std::uint64_t n : s.threadInstructions)
+        per_thread += n;
+    EXPECT_EQ(per_thread, 1000u);
+}
+
+TEST(Scheduler, ProgramEndingInHaltStopsEveryThread)
+{
+    // Only thread-local ops: each thread runs to its Halt, the last
+    // instruction, and its pc ends one past the end of the code.
+    Asm a("halt");
+    a.movi(R2, 5);
+    a.addi(R2, R2, 1);
+    a.halt();
+    Machine m(a.finalize());
+    const MachineStats s = m.run();
+    EXPECT_FALSE(s.truncated);
+    EXPECT_EQ(s.instructions, 12u);
+    for (int t = 0; t < 4; ++t) {
+        EXPECT_EQ(s.threadInstructions[t], 3u);
+        EXPECT_EQ(s.threadCycles[t], 3u * TimingModel{}.base);
+        EXPECT_EQ(m.reg(t, R2), 6);
+    }
+}
+
+/** Sink that records the core of every HITM event, in order. */
+struct HitmCoreSink : PmuSink
+{
+    std::vector<int> cores;
+    std::uint64_t
+    onHitm(const HitmEvent &ev) override
+    {
+        cores.push_back(ev.core);
+        return 0;
+    }
+};
+
+TEST(Scheduler, EqualClocksRunLowerTidFirst)
+{
+    // Every thread stores to one line after the same thread-local
+    // prefix, so all four stores start at the same clock. Lowest tid
+    // first means thread 0 misses and threads 1, 2, 3 each take the
+    // line from the previous writer in turn.
+    Asm a("tie");
+    a.tid(R1);
+    a.movi(R2, 0x1000900);
+    a.store(R2, 0, R1, 8);
+    a.halt();
+    HitmCoreSink sink;
+    Machine m(a.finalize());
+    m.setPmuSink(&sink);
+    const MachineStats s = m.run();
+    EXPECT_EQ(sink.cores, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(s.hitmStores, 3u);
+    EXPECT_EQ(s.memMisses, 1u);
+    EXPECT_EQ(m.memory().read(0x1000900, 8), 3u);
 }
 
 TEST(Machine, DeterministicAcrossRuns)

@@ -41,6 +41,8 @@ enum class AccessOutcome : std::uint8_t {
 
 /** Number of AccessOutcome values (for per-outcome tables). */
 inline constexpr std::size_t kAccessOutcomeCount = 7;
+static_assert(static_cast<std::size_t>(AccessOutcome::RfoShared) + 1 ==
+              kAccessOutcomeCount);
 
 /** Printable name for an access outcome. */
 const char *accessOutcomeName(AccessOutcome outcome);

@@ -114,15 +114,17 @@ class LineTable
         --size_;
     }
 
-    /** Call @p fn(key, value) for every entry, in slot order. */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
+    /** True if @p pred(value) holds for every entry; stops at the
+     *  first entry it fails on. */
+    template <typename Pred>
+    bool
+    allOf(Pred &&pred) const
     {
         for (const Slot &s : slots_) {
-            if (s.key != kEmpty)
-                fn(s.key, s.value);
+            if (s.key != kEmpty && !pred(s.value))
+                return false;
         }
+        return true;
     }
 
   private:

@@ -97,24 +97,26 @@ DragonBus::probe(std::uint64_t line_addr) const
 bool
 DragonBus::checkInvariants() const
 {
-    bool ok = true;
-    lines_.forEach([&](std::uint64_t, const LineInfo &li) {
-        if (li.sharers == 0 || li.sharers >= (1u << numCores_))
-            ok = false;
+    return lines_.allOf([&](const LineInfo &li) {
+        if (li.sharers == 0)
+            return false;
+        if (li.sharers >= (1u << numCores_))
+            return false;
         if (li.owner != -1) {
             // The dirty owner (M or Sm) must itself hold a copy; there
             // is at most one by construction (single owner field).
-            if (li.owner < 0 || li.owner >= numCores_ ||
-                    (li.sharers & (1u << li.owner)) == 0)
-                ok = false;
+            if (li.owner < 0 || li.owner >= numCores_)
+                return false;
+            if ((li.sharers & (1u << li.owner)) == 0)
+                return false;
         }
         if (li.exclusiveClean) {
             // E: sole copy, clean (Illinois clean-exclusive rule).
             if (std::popcount(li.sharers) != 1 || li.owner != -1)
-                ok = false;
+                return false;
         }
+        return true;
     });
-    return ok;
 }
 
 } // namespace laser::sim

@@ -16,18 +16,19 @@ MesiDirectory::MesiDirectory(int num_cores, const CacheGeometry &geometry)
 void
 MesiDirectory::evictLine(int core, std::uint64_t line)
 {
-    LineInfo *li = lines_.find(line);
-    if (!li)
+    LineInfo *found = lines_.find(line);
+    if (!found)
         return;
-    li->sharers &= ~(1u << core);
-    if (li->owner == core) {
+    LineInfo &li = *found;
+    li.sharers &= ~(1u << core);
+    if (li.owner == core) {
         // An evicted M line writes back to memory; an evicted E line is
         // simply dropped. Either way the line is clean and unowned.
-        li->modified = false;
-        li->exclusive = false;
-        li->owner = -1;
+        li.modified = false;
+        li.exclusive = false;
+        li.owner = -1;
     }
-    if (li->sharers == 0)
+    if (li.sharers == 0)
         lines_.erase(line);
     ++evictions_;
 }
@@ -132,25 +133,29 @@ MesiDirectory::probe(std::uint64_t line_addr) const
 bool
 MesiDirectory::checkInvariants() const
 {
-    bool ok = true;
-    lines_.forEach([&](std::uint64_t, const LineInfo &li) {
-        if (li.sharers == 0 || li.sharers >= (1u << numCores_))
-            ok = false;
+    return lines_.allOf([&](const LineInfo &li) {
+        if (li.sharers == 0)
+            return false;
         if (li.modified && li.exclusive)
-            ok = false;
+            return false;
         if (li.modified || li.exclusive) {
             // Illinois rules: a dirty (M) or exclusive-clean (E) line
             // has exactly one sharer, and that sharer is the owner — so
             // the owner is never in another line's sharer set here.
-            if (std::popcount(li.sharers) != 1 || li.owner < 0 ||
-                    li.owner >= numCores_ || li.sharers != (1u << li.owner))
-                ok = false;
+            if (std::popcount(li.sharers) != 1)
+                return false;
+            if (li.owner < 0 || li.owner >= numCores_)
+                return false;
+            if (li.sharers != (1u << li.owner))
+                return false;
         } else if (li.owner != -1) {
             // Audit addition: Shared lines are unowned.
-            ok = false;
+            return false;
         }
+        if (li.sharers >= (1u << numCores_))
+            return false;
+        return true;
     });
-    return ok;
 }
 
 } // namespace laser::sim

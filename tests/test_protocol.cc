@@ -747,7 +747,10 @@ TEST(LineTable, EraseAcrossWrappedProbeCluster)
     EXPECT_EQ(*table.find(tail[1]), 11);
     EXPECT_EQ(*table.find(tail[2]), 12);
     std::size_t seen = 0;
-    table.forEach([&](std::uint64_t, int) { ++seen; });
+    EXPECT_TRUE(table.allOf([&](int) {
+        ++seen;
+        return true;
+    }));
     EXPECT_EQ(seen, 2u);
 }
 

@@ -545,8 +545,8 @@ Machine::run()
         }
         if (!best)
             break;
-        // Threads are scanned in tid order, so on equal clocks the
-        // lower tid is best and stays ahead of rival.
+        // The scan above breaks clock ties toward the lower tid (tid
+        // order, strict <); ahead() applies the same (clock, tid) order.
         const auto ahead = [&] {
             return !rival || best->clock < rival->clock ||
                    (best->clock == rival->clock && best->tid < rival->tid);

@@ -8,6 +8,9 @@
  *     a flush operation").
  *  2. The pre-emptive flush threshold (8 entries = L1 associativity).
  *  3. Speculative alias analysis on/off.
+ *
+ * The shape is asserted: the bench exits non-zero when a predicate in
+ * its shape check fails.
  */
 
 #include <cstdio>
@@ -110,8 +113,10 @@ main()
          &with_alias.program, sim::SsbMode::Coalescing, 8},
         {"coalescing, cap 8, no alias speculation", &no_alias.program,
          sim::SsbMode::Coalescing, 8},
-        {"coalescing, cap 2", &with_alias.program,
-         sim::SsbMode::Coalescing, 2},
+        // The kernel dirties two chunks per thread, so only a cap below
+        // 2 forces flushes inside the loop.
+        {"coalescing, cap 1", &with_alias.program,
+         sim::SsbMode::Coalescing, 1},
         {"coalescing, cap 32", &with_alias.program,
          sim::SsbMode::Coalescing, 32},
         {"FIFO queue, cap 8", &with_alias.program, sim::SsbMode::Fifo, 8},
@@ -119,8 +124,10 @@ main()
          sim::SsbMode::Fifo, 1024},
     };
     obs::Json rows = obs::Json::array();
+    std::vector<Row> results;
     for (const Variant &v : variants) {
         Row r = run(*v.prog, v.mode, v.maxEntries);
+        results.push_back(r);
         table.addRow({v.name, fmtCount(r.cycles),
                       fmtTimes(double(r.cycles) / double(ns.cycles)),
                       fmtCount(r.hitms), fmtCount(r.flushes),
@@ -136,15 +143,41 @@ main()
         rows.push(std::move(j));
     }
     std::fputs(table.render().c_str(), stdout);
-    std::printf("\nShape check: the coalescing SSB keeps a handful of "
-                "entries and one flush at loop exit; the FIFO queue's "
-                "entry count explodes with store count (the paper's "
-                "space argument); tiny caps flush constantly and give "
-                "back the contention.\n");
+
+    // Rows by position in variants[].
+    const Row &paper = results[0];
+    const Row &cap1 = results[2];
+    const Row &fifo8 = results[4];
+    const Row &fifo1024 = results[5];
+    bool capped = true;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        if (variants[i].mode == sim::SsbMode::Coalescing &&
+            results[i].maxEntries >
+                static_cast<std::uint64_t>(variants[i].maxEntries) + 1)
+            capped = false;
+    }
+    bool pass = true;
+    const auto check = [&pass](const char *claim, bool ok) {
+        std::printf("  %s: %s\n", claim, ok ? "PASS" : "FAIL");
+        pass = pass && ok;
+    };
+    std::printf("\nShape check:\n");
+    check("the coalescing SSB keeps at most cap + 1 entries on every row",
+          capped);
+    check("the FIFO queue's entry count explodes with store count "
+          "(cap 1024: >= 10x the paper design's max entries)",
+          fifo1024.maxEntries >= 10 * paper.maxEntries);
+    check("the FIFO queue flushes far more often "
+          "(cap 8: >= 10x the paper design's flushes)",
+          fifo8.flushes >= 10 * paper.flushes);
+    check("a tiny cap flushes constantly and gives back the contention "
+          "(cap 1: >= 10x the flushes, more HITMs)",
+          cap1.flushes >= 10 * paper.flushes && cap1.hitms > paper.hitms);
 
     telemetry.results()
         .set("native_cycles", obs::Json(ns.cycles))
-        .set("rows", std::move(rows));
+        .set("rows", std::move(rows))
+        .set("shape_pass", obs::Json(pass));
     bench::writeTelemetry(telemetry, nullptr);
-    return 0;
+    return pass ? 0 : 1;
 }

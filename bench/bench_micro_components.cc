@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "detect/cacheline_model.h"
 #include "obs/export.h"
 #include "detect/detector.h"
@@ -24,13 +26,16 @@ static void
 BM_SsbPut(benchmark::State &state)
 {
     sim::SoftwareStoreBuffer ssb;
+    std::vector<sim::SsbEntry> drained;
     std::uint64_t addr = 0x1000;
     std::uint64_t seq = 0;
     for (auto _ : state) {
         ssb.put(addr, 8, seq, ++seq);
         addr = 0x1000 + (seq % 8) * 8; // stay within the flush cap
-        if (ssb.entryCount() > 8)
-            benchmark::DoNotOptimize(ssb.drain());
+        if (ssb.entryCount() > 8) {
+            ssb.drain(&drained);
+            benchmark::DoNotOptimize(drained.data());
+        }
     }
 }
 BENCHMARK(BM_SsbPut);
@@ -54,13 +59,16 @@ static void
 BM_SsbFlushDrain(benchmark::State &state)
 {
     const int entries = static_cast<int>(state.range(0));
+    std::vector<sim::SsbEntry> drained;
     for (auto _ : state) {
         state.PauseTiming();
         sim::SoftwareStoreBuffer ssb;
         for (int i = 0; i < entries; ++i)
             ssb.put(0x1000 + i * 8, 8, i, i + 1);
         state.ResumeTiming();
-        benchmark::DoNotOptimize(ssb.drain());
+        ssb.drain(&drained);
+        benchmark::DoNotOptimize(drained.data());
+        benchmark::ClobberMemory();
     }
 }
 BENCHMARK(BM_SsbFlushDrain)->Arg(8)->Arg(64)->Arg(512);

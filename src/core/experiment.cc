@@ -160,10 +160,10 @@ ExperimentRunner::runLaser(const workloads::WorkloadDef &w, double scale,
     isa::Program instrumented = repairer.instrument(result.plan);
     sim::MachineConfig rmc = mc;
     rmc.timing.base += cfg_.timing.pinBaseOverhead;
-    workloads::WorkloadBuild rebuild =
-        w.build(makeOptions(scale, false, cfg_.laserHeapShift));
+    // The re-run starts from the same initial memory image: phase 1's
+    // build options are identical, so its inits serve unchanged.
     sim::Machine repaired(std::move(instrumented), rmc);
-    rebuild.applyTo(repaired);
+    build.applyTo(repaired);
     pebs::PebsMonitor rmonitor(repaired.addressSpace(),
                                repaired.program().size(), cfg_.timing,
                                pc);

@@ -1,5 +1,6 @@
 #include "mem/memory.h"
 
+#include <cassert>
 #include <cstring>
 
 namespace laser::mem {
@@ -7,22 +8,19 @@ namespace laser::mem {
 Memory::Page *
 Memory::pageFor(std::uint64_t addr)
 {
-    const std::uint64_t pfn = addr / kPageBytes;
-    auto it = pages_.find(pfn);
-    if (it == pages_.end()) {
-        auto page = std::make_unique<Page>();
-        page->fill(0);
-        it = pages_.emplace(pfn, std::move(page)).first;
+    Page *&page = table_.findOrInsert(addr / kPageBytes);
+    if (!page) {
+        pages_.push_back(std::make_unique<Page>()); // zero-filled
+        page = pages_.back().get();
     }
-    return it->second.get();
+    return page;
 }
 
 const Memory::Page *
 Memory::pageForConst(std::uint64_t addr) const
 {
-    const std::uint64_t pfn = addr / kPageBytes;
-    auto it = pages_.find(pfn);
-    return it == pages_.end() ? nullptr : it->second.get();
+    Page *const *page = table_.find(addr / kPageBytes);
+    return page ? *page : nullptr;
 }
 
 std::uint64_t
@@ -55,6 +53,20 @@ Memory::write(std::uint64_t addr, int size, std::uint64_t value)
     }
     for (int i = 0; i < size; ++i)
         writeByte(addr + i, std::uint8_t(value >> (8 * i)));
+}
+
+void
+Memory::writeMasked(std::uint64_t addr, std::uint64_t value,
+                    std::uint64_t byte_mask)
+{
+    assert(addr % 8 == 0);
+    std::uint8_t *word = pageFor(addr)->data() + addr % kPageBytes;
+    std::uint64_t merged = value;
+    if (byte_mask != ~0ULL) {
+        std::memcpy(&merged, word, 8);
+        merged = (merged & ~byte_mask) | (value & byte_mask);
+    }
+    std::memcpy(word, &merged, 8);
 }
 
 std::uint8_t

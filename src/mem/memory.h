@@ -2,9 +2,14 @@
  * @file
  * Sparse byte-addressable backing store for the simulated machine.
  *
- * Pages are allocated lazily on first touch; reads of untouched memory
- * return zero (like fresh anonymous mappings). Values are little-endian,
- * matching the x86 systems the paper targets.
+ * Pages are allocated lazily on first write; reads of untouched memory
+ * return zero (like fresh anonymous mappings) and allocate nothing.
+ * Values are little-endian, matching the x86 systems the paper targets.
+ *
+ * The page table is a flat open-addressed util::LineTable from page
+ * number to page, so an access costs one probe, not a node-based hash
+ * lookup. Pages are owned separately and never move, so the table can
+ * grow without invalidating them.
  */
 
 #ifndef LASER_MEM_MEMORY_H
@@ -13,7 +18,9 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
+
+#include "util/line_table.h"
 
 namespace laser::mem {
 
@@ -29,6 +36,14 @@ class Memory
     /** Write the low @p size bytes of @p value at @p addr. */
     void write(std::uint64_t addr, int size, std::uint64_t value);
 
+    /**
+     * Write the bytes of @p value that @p byte_mask selects (0xff in
+     * each selected byte) to the 8-byte-aligned word at @p addr,
+     * keeping the others: one page lookup for the whole word.
+     */
+    void writeMasked(std::uint64_t addr, std::uint64_t value,
+                     std::uint64_t byte_mask);
+
     /** Read a single byte. */
     std::uint8_t readByte(std::uint64_t addr) const;
 
@@ -39,7 +54,7 @@ class Memory
     void fill(std::uint64_t addr, std::uint64_t count, std::uint8_t value);
 
     /** Number of distinct pages touched so far. */
-    std::size_t pagesTouched() const { return pages_.size(); }
+    std::size_t pagesTouched() const { return table_.size(); }
 
   private:
     using Page = std::array<std::uint8_t, kPageBytes>;
@@ -47,7 +62,10 @@ class Memory
     Page *pageFor(std::uint64_t addr);
     const Page *pageForConst(std::uint64_t addr) const;
 
-    std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
+    /** Page number -> page; never holds a null page. */
+    util::LineTable<Page *> table_;
+    /** Owns every page in the table. */
+    std::vector<std::unique_ptr<Page>> pages_;
 };
 
 } // namespace laser::mem

@@ -191,21 +191,18 @@ Machine::flushSsb(ThreadCtx &t)
         return 0;
 
     const TimingModel &tm = cfg_.timing;
-    std::vector<SsbDrainEntry> entries = t.ssb.drain();
+    t.ssb.drain(&drained_);
     ++stats_.ssbFlushes;
-    stats_.ssbFlushedEntries += entries.size();
+    stats_.ssbFlushedEntries += drained_.size();
 
     std::uint64_t cost = tm.ssbFlushBase;
 
     if (cfg_.ssbMode == SsbMode::Fifo) {
         // The queue drains one store at a time, each individually
         // globally visible (trivially TSO, impractically slow/large).
-        for (const SsbDrainEntry &e : entries) {
+        for (const SsbEntry &e : drained_) {
             cost += memAccess(t, e.addr, 8, true, false, false);
-            for (int lane = 0; lane < 8; ++lane) {
-                if (e.validMask & (1u << lane))
-                    mem_.writeByte(e.addr + lane, e.bytes[lane]);
-            }
+            mem_.writeMasked(e.addr, e.data, byteMask(e.validMask));
             traceVisibility(t, e.minSeq, e.maxSeq, 1);
         }
         return cost;
@@ -220,23 +217,19 @@ Machine::flushSsb(ThreadCtx &t)
     const std::uint64_t line_bytes = proto_->lineBytes();
     std::uint64_t min_seq = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t max_seq = 0;
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        const SsbDrainEntry &e = entries[i];
+    for (std::size_t i = 0; i < drained_.size(); ++i) {
+        const SsbEntry &e = drained_[i];
         const std::uint64_t line = proto_->lineOf(e.addr);
-        if (i == 0 || line != proto_->lineOf(entries[i - 1].addr))
+        if (i == 0 || line != proto_->lineOf(drained_[i - 1].addr))
             cost += memAccess(t, line * line_bytes,
                               static_cast<int>(line_bytes), true, false,
                               false);
         min_seq = std::min(min_seq, e.minSeq);
         max_seq = std::max(max_seq, e.maxSeq);
     }
-    for (const SsbDrainEntry &e : entries) {
-        for (int lane = 0; lane < 8; ++lane) {
-            if (e.validMask & (1u << lane))
-                mem_.writeByte(e.addr + lane, e.bytes[lane]);
-        }
-    }
-    traceVisibility(t, min_seq, max_seq, entries.size());
+    for (const SsbEntry &e : drained_)
+        mem_.writeMasked(e.addr, e.data, byteMask(e.validMask));
+    traceVisibility(t, min_seq, max_seq, drained_.size());
     return cost;
 }
 

@@ -214,6 +214,8 @@ class Machine
     PmuSink *sink_ = nullptr;
     MachineStats stats_;
     std::vector<TsoEvent> tsoTrace_;
+    /** flushSsb's drain buffer, reused across flushes. */
+    std::vector<SsbEntry> drained_;
     bool ran_ = false;
 };
 

@@ -30,8 +30,8 @@
 
 #include <cstdint>
 
-#include "sim/line_table.h"
 #include "sim/protocol.h"
+#include "util/line_table.h"
 
 namespace laser::sim {
 
@@ -67,7 +67,7 @@ class DragonBus final : public CoherenceProtocol
     std::uint64_t busUpdates() const { return busUpdates_; }
 
   private:
-    LineTable<LineInfo> lines_;
+    util::LineTable<LineInfo> lines_;
     std::uint64_t busUpdates_ = 0;
 };
 

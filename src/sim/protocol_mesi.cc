@@ -36,8 +36,6 @@ MesiDirectory::evictLine(int core, std::uint64_t line)
 void
 MesiDirectory::touchLru(int core, std::uint64_t line)
 {
-    if (!geometry_.bounded())
-        return;
     std::list<std::uint64_t> &set =
         lru_[static_cast<std::size_t>(core)][line % geometry_.sets];
     auto pos = std::find(set.begin(), set.end(), line);
@@ -58,7 +56,8 @@ MesiDirectory::access(int core, std::uint64_t addr, bool is_write,
                       bool is_load_class)
 {
     const std::uint64_t line = lineOf(addr);
-    touchLru(core, line);
+    if (geometry_.bounded())
+        touchLru(core, line);
     LineInfo &li = lines_.findOrInsert(line);
     const std::uint32_t me = 1u << core;
     const bool mine = (li.sharers & me) != 0;

@@ -31,8 +31,8 @@
 #include <list>
 #include <vector>
 
-#include "sim/line_table.h"
 #include "sim/protocol.h"
+#include "util/line_table.h"
 
 namespace laser::sim {
 
@@ -68,11 +68,12 @@ class MesiDirectory final : public CoherenceProtocol
     std::uint64_t evictions() const { return evictions_; }
 
   private:
-    /** Touch @p line in @p core's LRU set, evicting on overflow. */
+    /** Touch @p line in @p core's LRU set, evicting on overflow;
+     *  only called when the geometry is bounded. */
     void touchLru(int core, std::uint64_t line);
     void evictLine(int core, std::uint64_t line);
 
-    LineTable<LineInfo> lines_;
+    util::LineTable<LineInfo> lines_;
     /** Per-core, per-set resident lines, MRU first (bounded geometry
      *  only; empty when unbounded). */
     std::vector<std::vector<std::list<std::uint64_t>>> lru_;

@@ -4,21 +4,68 @@
 
 namespace laser::sim {
 
-void
-SoftwareStoreBuffer::putByte(std::uint64_t addr, std::uint8_t byte,
-                             std::uint64_t seq)
+namespace {
+
+/**
+ * Where an access of 1..8 bytes falls: lanes lo() of the chunk at
+ * @c chunk and, when it crosses the chunk boundary, lanes hi() of the
+ * next chunk. Byte i of the access value is lane @c lane + i, counted
+ * on into the next chunk.
+ */
+struct Span
 {
-    Slot &slot = slots_[addr >> 3];
-    const int lane = static_cast<int>(addr & 7);
-    if (slot.validMask == 0) {
-        slot.minSeq = seq;
-        slot.maxSeq = seq;
-    } else {
-        slot.minSeq = std::min(slot.minSeq, seq);
-        slot.maxSeq = std::max(slot.maxSeq, seq);
+    std::uint64_t chunk;
+    int lane;
+    /** Lanes 0-7 of this chunk, then 8-15 for the next one's 0-7. */
+    unsigned lanes;
+
+    Span(std::uint64_t addr, int size)
+        : chunk(addr & ~7ULL), lane(static_cast<int>(addr & 7)),
+          lanes(((1u << size) - 1) << lane)
+    {
     }
-    slot.validMask |= std::uint8_t(1u << lane);
-    slot.bytes[lane] = byte;
+
+    std::uint8_t lo() const { return static_cast<std::uint8_t>(lanes); }
+    std::uint8_t hi() const { return static_cast<std::uint8_t>(lanes >> 8); }
+
+    /** Access value -> the low chunk's word, and back. */
+    int loShift() const { return 8 * lane; }
+    /** Access value -> the high chunk's word (only when hi() != 0). */
+    int hiShift() const { return 8 * (8 - lane); }
+};
+
+/** Orders slots against a chunk address, for std::lower_bound. */
+bool
+chunkBefore(const SsbEntry &e, std::uint64_t chunk)
+{
+    return e.addr < chunk;
+}
+
+} // namespace
+
+const SsbEntry *
+SoftwareStoreBuffer::find(std::uint64_t chunk) const
+{
+    const auto it =
+        std::lower_bound(slots_.begin(), slots_.end(), chunk, chunkBefore);
+    return it != slots_.end() && it->addr == chunk ? &*it : nullptr;
+}
+
+void
+SoftwareStoreBuffer::putChunk(std::uint64_t chunk, std::uint64_t data,
+                              std::uint8_t lanes, std::uint64_t seq)
+{
+    auto it =
+        std::lower_bound(slots_.begin(), slots_.end(), chunk, chunkBefore);
+    if (it == slots_.end() || it->addr != chunk) {
+        it = slots_.insert(it, SsbEntry{chunk, 0, 0, seq, seq});
+    } else {
+        it->minSeq = std::min(it->minSeq, seq);
+        it->maxSeq = std::max(it->maxSeq, seq);
+    }
+    const std::uint64_t m = byteMask(lanes);
+    it->data = (it->data & ~m) | (data & m);
+    it->validMask |= lanes;
 }
 
 void
@@ -26,123 +73,96 @@ SoftwareStoreBuffer::put(std::uint64_t addr, int size, std::uint64_t value,
                          std::uint64_t seq)
 {
     ++totalPuts_;
-    for (int i = 0; i < size; ++i)
-        putByte(addr + i, std::uint8_t(value >> (8 * i)), seq);
+    const Span s(addr, size);
+    putChunk(s.chunk, value << s.loShift(), s.lo(), seq);
+    if (s.hi())
+        putChunk(s.chunk + 8, value >> s.hiShift(), s.hi(), seq);
     if (mode_ == SsbMode::Fifo) {
         fifo_.push_back({addr, static_cast<std::uint8_t>(size), value,
                          seq});
     }
 }
 
-const SoftwareStoreBuffer::Slot *
-SoftwareStoreBuffer::slotFor(std::uint64_t chunk) const
-{
-    auto it = slots_.find(chunk);
-    return it == slots_.end() ? nullptr : &it->second;
-}
-
 bool
 SoftwareStoreBuffer::getFull(std::uint64_t addr, int size,
                              std::uint64_t *value) const
 {
-    std::uint64_t out = 0;
-    for (int i = 0; i < size; ++i) {
-        const std::uint64_t a = addr + i;
-        const Slot *slot = slotFor(a >> 3);
-        const int lane = static_cast<int>(a & 7);
-        if (!slot || !(slot->validMask & (1u << lane)))
+    const Span s(addr, size);
+    const SsbEntry *lo = find(s.chunk);
+    if (!lo || (lo->validMask & s.lo()) != s.lo())
+        return false;
+    std::uint64_t out = lo->data >> s.loShift();
+    if (s.hi()) {
+        const SsbEntry *hi = find(s.chunk + 8);
+        if (!hi || (hi->validMask & s.hi()) != s.hi())
             return false;
-        out |= std::uint64_t(slot->bytes[lane]) << (8 * i);
+        out |= hi->data << s.hiShift();
     }
-    if (value)
-        *value = out;
+    if (value) {
+        *value =
+            out & byteMask(static_cast<std::uint8_t>((1u << size) - 1));
+    }
     return true;
 }
 
 bool
 SoftwareStoreBuffer::containsAny(std::uint64_t addr, int size) const
 {
-    for (int i = 0; i < size; ++i) {
-        const std::uint64_t a = addr + i;
-        const Slot *slot = slotFor(a >> 3);
-        if (slot && (slot->validMask & (1u << (a & 7))))
-            return true;
-    }
-    return false;
+    const Span s(addr, size);
+    const SsbEntry *lo = find(s.chunk);
+    if (lo && (lo->validMask & s.lo()))
+        return true;
+    if (!s.hi())
+        return false;
+    const SsbEntry *hi = find(s.chunk + 8);
+    return hi && (hi->validMask & s.hi());
 }
 
 std::uint64_t
 SoftwareStoreBuffer::merge(std::uint64_t addr, int size,
                            std::uint64_t mem_value) const
 {
+    const Span s(addr, size);
     std::uint64_t out = mem_value;
-    for (int i = 0; i < size; ++i) {
-        const std::uint64_t a = addr + i;
-        const Slot *slot = slotFor(a >> 3);
-        const int lane = static_cast<int>(a & 7);
-        if (slot && (slot->validMask & (1u << lane))) {
-            out &= ~(std::uint64_t(0xff) << (8 * i));
-            out |= std::uint64_t(slot->bytes[lane]) << (8 * i);
+    if (const SsbEntry *lo = find(s.chunk)) {
+        const std::uint64_t m =
+            byteMask(lo->validMask & s.lo()) >> s.loShift();
+        out = (out & ~m) | ((lo->data >> s.loShift()) & m);
+    }
+    if (s.hi()) {
+        if (const SsbEntry *hi = find(s.chunk + 8)) {
+            const std::uint64_t m =
+                byteMask(hi->validMask & s.hi()) << s.hiShift();
+            out = (out & ~m) | ((hi->data << s.hiShift()) & m);
         }
     }
     return out;
 }
 
-std::vector<SsbDrainEntry>
-SoftwareStoreBuffer::drain()
+void
+SoftwareStoreBuffer::drain(std::vector<SsbEntry> *out)
 {
-    std::vector<SsbDrainEntry> out;
-    if (mode_ == SsbMode::Fifo) {
-        // One entry per buffered store, in program order.
-        out.reserve(fifo_.size());
-        for (const FifoEntry &fe : fifo_) {
-            SsbDrainEntry e;
-            // Split the store into (at most two) chunk-aligned pieces so
-            // the drain-entry format stays uniform.
-            std::uint64_t a = fe.addr;
-            int remaining = fe.size;
-            std::uint64_t v = fe.value;
-            while (remaining > 0) {
-                const std::uint64_t chunk = a & ~7ULL;
-                const int lane = static_cast<int>(a & 7);
-                const int take = std::min(remaining, 8 - lane);
-                e = SsbDrainEntry{};
-                e.addr = chunk;
-                e.minSeq = e.maxSeq = fe.seq;
-                for (int i = 0; i < take; ++i) {
-                    e.validMask |= std::uint8_t(1u << (lane + i));
-                    e.bytes[lane + i] = std::uint8_t(v >> (8 * i));
-                }
-                out.push_back(e);
-                a += take;
-                // A whole 8-byte take consumes v; shifting by 64 is UB.
-                v = take == 8 ? 0 : v >> (8 * take);
-                remaining -= take;
-            }
-        }
-        fifo_.clear();
-        slots_.clear();
-        return out;
+    out->clear();
+    if (mode_ == SsbMode::Coalescing) {
+        out->swap(slots_);
+        return;
     }
 
-    out.reserve(slots_.size());
-    for (const auto &[chunk, slot] : slots_) {
-        SsbDrainEntry e;
-        e.addr = chunk << 3;
-        e.validMask = slot.validMask;
-        std::copy(std::begin(slot.bytes), std::end(slot.bytes), e.bytes);
-        e.minSeq = slot.minSeq;
-        e.maxSeq = slot.maxSeq;
-        out.push_back(e);
+    // One entry per buffered store, in program order, split into (at
+    // most two) chunk-aligned pieces so the entry format stays uniform.
+    for (const FifoEntry &fe : fifo_) {
+        const Span s(fe.addr, fe.size);
+        out->push_back({s.chunk,
+                        (fe.value << s.loShift()) & byteMask(s.lo()), s.lo(),
+                        fe.seq, fe.seq});
+        if (s.hi()) {
+            out->push_back({s.chunk + 8,
+                            (fe.value >> s.hiShift()) & byteMask(s.hi()),
+                            s.hi(), fe.seq, fe.seq});
+        }
     }
+    fifo_.clear();
     slots_.clear();
-    return out;
-}
-
-std::size_t
-SoftwareStoreBuffer::entryCount() const
-{
-    return mode_ == SsbMode::Fifo ? fifo_.size() : slots_.size();
 }
 
 } // namespace laser::sim

@@ -1,21 +1,21 @@
 /**
  * @file
- * LineTable: the flat line directory both coherence backends keep their
- * per-line state in.
+ * LineTable: the flat table both coherence backends keep their per-line
+ * state in, and mem::Memory its page table.
  *
- * An open-addressed hash table keyed by line address: linear probing
- * over a power-of-two slot array, Fibonacci hashing of the key, growth
- * by doubling at half load, and backward-shift deletion (no tombstones),
- * which bounded-MESI eviction needs. Line addresses are byte addresses
- * shifted right by at least 3, so the all-ones key never occurs and
- * marks an empty slot.
+ * An open-addressed hash table keyed by a line or page number: linear
+ * probing over a power-of-two slot array, Fibonacci hashing of the key,
+ * growth by doubling at half load, and backward-shift deletion (no
+ * tombstones), which bounded-MESI eviction needs. Keys are byte
+ * addresses shifted right by at least 3, so the all-ones key never
+ * occurs and marks an empty slot.
  *
  * References returned by find()/findOrInsert() stay valid only until the
  * next insertion or erase.
  */
 
-#ifndef LASER_SIM_LINE_TABLE_H
-#define LASER_SIM_LINE_TABLE_H
+#ifndef LASER_UTIL_LINE_TABLE_H
+#define LASER_UTIL_LINE_TABLE_H
 
 #include <bit>
 #include <cassert>
@@ -24,7 +24,7 @@
 #include <utility>
 #include <vector>
 
-namespace laser::sim {
+namespace laser::util {
 
 template <typename V>
 class LineTable
@@ -159,6 +159,6 @@ class LineTable
     std::size_t size_ = 0;
 };
 
-} // namespace laser::sim
+} // namespace laser::util
 
-#endif // LASER_SIM_LINE_TABLE_H
+#endif // LASER_UTIL_LINE_TABLE_H

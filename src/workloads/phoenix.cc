@@ -150,8 +150,11 @@ buildHistogram(const BuildOptions &opt, bool alt_input)
 
     // Input synthesis: the default image avoids the boundary bins
     // entirely; the alternative image (histogram') concentrates on them.
-    for (std::int64_t i = 0;
-         i < pixels_per_thread * opt.numThreads; ++i) {
+    // Pixels are recorded eight to an init64 word (little-endian, so
+    // pixel i is byte i), with a byte-wise tail.
+    const std::int64_t pixels = pixels_per_thread * opt.numThreads;
+    std::uint64_t word = 0;
+    for (std::int64_t i = 0; i < pixels; ++i) {
         std::uint8_t pixel;
         if (alt_input) {
             // 95% of pixels land in the falsely-shared boundary bins.
@@ -165,7 +168,15 @@ buildHistogram(const BuildOptions &opt, bool alt_input)
         } else {
             pixel = std::uint8_t(16 + ctx.rng.below(224));
         }
-        ctx.init8(image + std::uint64_t(i), pixel);
+        word |= std::uint64_t(pixel) << (8 * (i % 8));
+        if (i % 8 == 7) {
+            ctx.init64(image + std::uint64_t(i - 7), word);
+            word = 0;
+        }
+    }
+    for (std::int64_t i = pixels - pixels % 8; i < pixels; ++i) {
+        ctx.init8(image + std::uint64_t(i),
+                  std::uint8_t(word >> (8 * (i % 8))));
     }
 
     a.at(20).tid(R1);

@@ -31,7 +31,49 @@ TEST(Memory, ReadsZeroWhenUntouched)
 {
     Memory m;
     EXPECT_EQ(m.read(0x1234, 8), 0u);
+    EXPECT_EQ(m.readByte(0x5678), 0u);
+    EXPECT_EQ(m.read(2 * Memory::kPageBytes - 3, 8), 0u); // spans two
     EXPECT_EQ(m.pagesTouched(), 0u);
+}
+
+TEST(Memory, ContentsSurviveTableGrowth)
+{
+    // Enough scattered pages to grow the page table several times over.
+    Memory m;
+    constexpr std::uint64_t kPages = 700;
+    const auto addrOf = [](std::uint64_t i) {
+        return (i * 7919 + 3) * Memory::kPageBytes + (i % 64) * 8;
+    };
+    for (std::uint64_t i = 0; i < kPages; ++i)
+        m.write(addrOf(i), 8, 0x5eed0000 + i);
+    EXPECT_EQ(m.pagesTouched(), kPages);
+    for (std::uint64_t i = 0; i < kPages; ++i)
+        ASSERT_EQ(m.read(addrOf(i), 8), 0x5eed0000 + i) << "page " << i;
+}
+
+TEST(Memory, CrossPageReadIntoUntouchedPage)
+{
+    // The low half lies on a written page, the high half on an untouched
+    // one: written bytes plus zeros, and the second page stays absent.
+    Memory m;
+    const std::uint64_t addr = Memory::kPageBytes - 4;
+    m.write(addr, 4, 0xaabbccdd);
+    EXPECT_EQ(m.read(addr, 8), 0xaabbccddu);
+    EXPECT_EQ(m.pagesTouched(), 1u);
+}
+
+TEST(Memory, WriteMaskedKeepsUnselectedBytes)
+{
+    Memory m;
+    m.write(0x4000, 8, 0x1111111111111111ULL);
+    m.writeMasked(0x4000, 0x2222222222222222ULL, 0x00ff0000ffff00ffULL);
+    EXPECT_EQ(m.read(0x4000, 8), 0x1122111122221122ULL);
+    m.writeMasked(0x4000, 0x0123456789abcdefULL, ~0ULL);
+    EXPECT_EQ(m.read(0x4000, 8), 0x0123456789abcdefULL);
+    // A partial word on a fresh page: unselected bytes read as zero.
+    m.writeMasked(0x9000, 0x3333333333333333ULL, 0xff00000000000000ULL);
+    EXPECT_EQ(m.read(0x9000, 8), 0x3300000000000000ULL);
+    EXPECT_EQ(m.pagesTouched(), 2u);
 }
 
 TEST(Memory, LittleEndianRoundTrip)

@@ -21,11 +21,11 @@
 #include "core/experiment.h"
 #include "pebs/monitor.h"
 #include "sim/coherence.h"
-#include "sim/line_table.h"
 #include "sim/machine.h"
 #include "sim/protocol.h"
 #include "sim/protocol_dragon.h"
 #include "sim/protocol_mesi.h"
+#include "util/line_table.h"
 #include "workloads/workload.h"
 
 namespace laser::sim {
@@ -699,8 +699,11 @@ TEST(Geometry, UnboundedMesiNeverEvicts)
 }
 
 // ---------------------------------------------------------------------
-// LineTable: the flat line directory behind both protocols
+// LineTable: the flat table behind both protocols' line directories
+// and the memory page table
 // ---------------------------------------------------------------------
+
+using util::LineTable;
 
 /** First @p n keys (from 1 up) whose probe starts at @p home. */
 std::vector<std::uint64_t>

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "isa/assembler.h"
@@ -187,7 +192,8 @@ TEST(Ssb, CoalescingKeepsLastValue)
     std::uint64_t v = 0;
     ASSERT_TRUE(ssb.getFull(0x1000, 8, &v));
     EXPECT_EQ(v, 999u);
-    auto drained = ssb.drain();
+    std::vector<SsbEntry> drained;
+    ssb.drain(&drained);
     ASSERT_EQ(drained.size(), 1u);
     EXPECT_EQ(drained[0].minSeq, 1u);
     EXPECT_EQ(drained[0].maxSeq, 1000u);
@@ -200,7 +206,8 @@ TEST(Ssb, FifoKeepsOneEntryPerStore)
     for (std::uint64_t i = 0; i < 100; ++i)
         ssb.put(0x1000, 8, i, i + 1);
     EXPECT_EQ(ssb.entryCount(), 100u);
-    auto drained = ssb.drain();
+    std::vector<SsbEntry> drained;
+    ssb.drain(&drained);
     EXPECT_EQ(drained.size(), 100u);
     // Drained in program order.
     EXPECT_EQ(drained.front().minSeq, 1u);
@@ -213,13 +220,235 @@ TEST(Ssb, DrainAppliesLatestBytes)
     SoftwareStoreBuffer ssb;
     ssb.put(0x1000, 8, 0x1111111111111111ULL, 1);
     ssb.put(0x1004, 4, 0x22222222u, 2);
-    auto drained = ssb.drain();
+    std::vector<SsbEntry> drained;
+    ssb.drain(&drained);
     ASSERT_EQ(drained.size(), 1u);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= std::uint64_t(drained[0].bytes[i]) << (8 * i);
-    EXPECT_EQ(v, 0x2222222211111111ULL);
+    EXPECT_EQ(drained[0].data, 0x2222222211111111ULL);
     EXPECT_EQ(drained[0].validMask, 0xff);
+}
+
+TEST(Ssb, ByteMaskWidensEachLane)
+{
+    EXPECT_EQ(byteMask(0x00), 0u);
+    EXPECT_EQ(byteMask(0xff), ~0ULL);
+    EXPECT_EQ(byteMask(0x81), 0xff000000000000ffULL);
+    for (int lane = 0; lane < 8; ++lane) {
+        EXPECT_EQ(byteMask(std::uint8_t(1u << lane)),
+                  0xffULL << (8 * lane));
+    }
+}
+
+/**
+ * Reference model for the differential test: the byte-granular design,
+ * one map slot per chunk and one map lookup per byte, with a fifo queue
+ * of whole stores beside it in fifo mode.
+ */
+class ByteMapSsb
+{
+  public:
+    explicit ByteMapSsb(SsbMode mode) : mode_(mode) {}
+
+    void
+    put(std::uint64_t addr, int size, std::uint64_t value,
+        std::uint64_t seq)
+    {
+        for (int i = 0; i < size; ++i) {
+            const std::uint64_t a = addr + i;
+            Slot &s = slots_[a & ~7ULL];
+            if (s.valid == 0) {
+                s.minSeq = seq;
+                s.maxSeq = seq;
+            }
+            s.minSeq = std::min(s.minSeq, seq);
+            s.maxSeq = std::max(s.maxSeq, seq);
+            s.valid |= std::uint8_t(1u << (a & 7));
+            s.bytes[a & 7] = std::uint8_t(value >> (8 * i));
+        }
+        if (mode_ == SsbMode::Fifo)
+            fifo_.push_back({addr, size, value, seq});
+    }
+
+    /** Byte @p a if buffered. */
+    const std::uint8_t *
+    byte(std::uint64_t a) const
+    {
+        const auto it = slots_.find(a & ~7ULL);
+        if (it == slots_.end() || !(it->second.valid & (1u << (a & 7))))
+            return nullptr;
+        return &it->second.bytes[a & 7];
+    }
+
+    bool
+    getFull(std::uint64_t addr, int size, std::uint64_t *value) const
+    {
+        std::uint64_t out = 0;
+        for (int i = 0; i < size; ++i) {
+            const std::uint8_t *b = byte(addr + i);
+            if (!b)
+                return false;
+            out |= std::uint64_t(*b) << (8 * i);
+        }
+        *value = out;
+        return true;
+    }
+
+    bool
+    containsAny(std::uint64_t addr, int size) const
+    {
+        for (int i = 0; i < size; ++i) {
+            if (byte(addr + i))
+                return true;
+        }
+        return false;
+    }
+
+    std::uint64_t
+    merge(std::uint64_t addr, int size, std::uint64_t mem_value) const
+    {
+        for (int i = 0; i < size; ++i) {
+            if (const std::uint8_t *b = byte(addr + i)) {
+                mem_value &= ~(0xffULL << (8 * i));
+                mem_value |= std::uint64_t(*b) << (8 * i);
+            }
+        }
+        return mem_value;
+    }
+
+    std::vector<SsbEntry>
+    drain()
+    {
+        std::vector<SsbEntry> out;
+        if (mode_ == SsbMode::Fifo) {
+            // Each store split at the chunk boundary, in store order.
+            for (const Store &st : fifo_) {
+                for (int i = 0; i < st.size; ++i) {
+                    const std::uint64_t a = st.addr + i;
+                    if (i == 0 || (a & 7) == 0)
+                        out.push_back({a & ~7ULL, 0, 0, st.seq, st.seq});
+                    out.back().validMask |= std::uint8_t(1u << (a & 7));
+                    out.back().data |= ((st.value >> (8 * i)) & 0xff)
+                                       << (8 * (a & 7));
+                }
+            }
+        } else {
+            for (const auto &[chunk, s] : slots_) {
+                SsbEntry e{chunk, 0, s.valid, s.minSeq, s.maxSeq};
+                for (int lane = 0; lane < 8; ++lane) {
+                    if (s.valid & (1u << lane))
+                        e.data |= std::uint64_t(s.bytes[lane])
+                                  << (8 * lane);
+                }
+                out.push_back(e);
+            }
+        }
+        slots_.clear();
+        fifo_.clear();
+        return out;
+    }
+
+    std::size_t
+    entryCount() const
+    {
+        return mode_ == SsbMode::Fifo ? fifo_.size() : slots_.size();
+    }
+
+  private:
+    struct Slot
+    {
+        std::uint8_t valid = 0;
+        std::uint8_t bytes[8] = {};
+        std::uint64_t minSeq = 0;
+        std::uint64_t maxSeq = 0;
+    };
+    struct Store
+    {
+        std::uint64_t addr;
+        int size;
+        std::uint64_t value;
+        std::uint64_t seq;
+    };
+
+    SsbMode mode_;
+    std::map<std::uint64_t, Slot> slots_;
+    std::vector<Store> fifo_;
+};
+
+void
+expectSameEntries(const std::vector<SsbEntry> &got,
+                  const std::vector<SsbEntry> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].addr, want[i].addr) << "entry " << i;
+        EXPECT_EQ(got[i].data, want[i].data) << "entry " << i;
+        EXPECT_EQ(got[i].validMask, want[i].validMask) << "entry " << i;
+        EXPECT_EQ(got[i].minSeq, want[i].minSeq) << "entry " << i;
+        EXPECT_EQ(got[i].maxSeq, want[i].maxSeq) << "entry " << i;
+    }
+}
+
+/**
+ * Differential property: the word-granular buffer answers every
+ * operation exactly as the byte-map model does, over seeded random
+ * traffic on a few adjacent chunks (so stores overlap, partially cover
+ * each other and cross chunk boundaries), in both modes.
+ */
+TEST(Ssb, MatchesByteMapModelUnderRandomTraffic)
+{
+    constexpr int kSizes[] = {1, 2, 4, 8};
+    std::set<std::pair<int, int>> put_shapes; // (size, lane) covered
+    for (const SsbMode mode : {SsbMode::Coalescing, SsbMode::Fifo}) {
+        for (const std::uint64_t seed : {1, 2, 3, 5, 8, 13}) {
+            SCOPED_TRACE(testing::Message()
+                         << "mode " << int(mode) << " seed " << seed);
+            std::mt19937_64 rng(seed);
+            SoftwareStoreBuffer ssb(mode);
+            ByteMapSsb ref(mode);
+            std::vector<SsbEntry> drained;
+            for (int op = 0; op < 4000; ++op) {
+                // Four chunks from 0x1000: every lane of each, and
+                // accesses off the last one spill into a fifth.
+                const std::uint64_t addr = 0x1000 + rng() % 32;
+                const int size = kSizes[rng() % 4];
+                const std::uint64_t value = rng();
+                const unsigned kind = rng() % 100;
+                if (kind < 45) {
+                    // Unordered sequence numbers, so the slots' min and
+                    // max both move.
+                    const std::uint64_t seq = rng() % 1000;
+                    ssb.put(addr, size, value, seq);
+                    ref.put(addr, size, value, seq);
+                    put_shapes.insert({size, int(addr & 7)});
+                } else if (kind < 65) {
+                    std::uint64_t got = 0;
+                    std::uint64_t want = 0;
+                    const bool full = ref.getFull(addr, size, &want);
+                    ASSERT_EQ(ssb.getFull(addr, size, &got), full)
+                        << "op " << op;
+                    if (full) {
+                        ASSERT_EQ(got, want) << "op " << op;
+                    }
+                } else if (kind < 80) {
+                    ASSERT_EQ(ssb.containsAny(addr, size),
+                              ref.containsAny(addr, size))
+                        << "op " << op;
+                } else if (kind < 97) {
+                    ASSERT_EQ(ssb.merge(addr, size, value),
+                              ref.merge(addr, size, value))
+                        << "op " << op;
+                } else {
+                    ssb.drain(&drained);
+                    expectSameEntries(drained, ref.drain());
+                }
+                ASSERT_EQ(ssb.entryCount(), ref.entryCount())
+                    << "op " << op;
+            }
+            ssb.drain(&drained);
+            expectSameEntries(drained, ref.drain());
+            EXPECT_TRUE(ssb.empty());
+        }
+    }
+    EXPECT_EQ(put_shapes.size(), 32u); // all 4 sizes at all 8 lanes
 }
 
 // ---------------------------------------------------------------------
@@ -694,6 +923,37 @@ TEST(Machine, SsbProgramMatchesPlainExecution)
               ssb.memory().read(0x1000a00, 8));
     EXPECT_EQ(plain.memory().read(0x1000a08, 8),
               ssb.memory().read(0x1000a08, 8));
+}
+
+TEST(Machine, SsbFlushOfPartialChunkKeepsUnbufferedBytes)
+{
+    // Two buffered stores cover bytes 4-7 of one chunk and 0-1 of the
+    // next; the flush must leave every other byte of both as it was.
+    Asm a("partial");
+    Asm::Label done = a.newLabel();
+    a.tid(R1);
+    a.bne(R1, R0, done);
+    a.movi(R2, 0x1000b00);
+    a.movi(R3, 0xaabbccdd);
+    a.movi(R4, 0x44556677);
+    const std::uint32_t first = a.store(R2, 4, R3, 4);
+    const std::uint32_t last = a.store(R2, 6, R4, 4);
+    a.fence();
+    a.bind(done);
+    a.halt();
+    isa::Program p = a.finalize();
+    markSsb(p, first, last);
+    for (const SsbMode mode : {SsbMode::Coalescing, SsbMode::Fifo}) {
+        MachineConfig mc;
+        mc.ssbMode = mode;
+        Machine m(p, mc);
+        m.memory().write(0x1000b00, 8, 0x1111111111111111ULL);
+        m.memory().write(0x1000b08, 8, 0x3333333333333333ULL);
+        const MachineStats s = m.run();
+        EXPECT_EQ(s.ssbStores, 2u);
+        EXPECT_EQ(m.memory().read(0x1000b00, 8), 0x6677ccdd11111111ULL);
+        EXPECT_EQ(m.memory().read(0x1000b08, 8), 0x3333333333334455ULL);
+    }
 }
 
 TEST(Machine, TsoTraceGroupsAreContiguousAndOrdered)

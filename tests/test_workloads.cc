@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "mem/address_space.h"
+#include "mem/allocator.h"
 #include "sim/machine.h"
 #include "workloads/workload.h"
 
@@ -152,6 +154,27 @@ TEST(Histogram, FalseSharingIsInputDependent)
         runBuild(findWorkload("histogram'")->build(BuildOptions{}));
     EXPECT_EQ(def_input.hitmTotal(), 0u);
     EXPECT_GT(alt_input.hitmTotal(), 5000u);
+}
+
+TEST(Histogram, PixelImageCoversEveryPixel)
+{
+    // 3 threads x 6500 pixels = 19500, not a multiple of the 8 pixels an
+    // init64 word holds, so the byte-wise tail is exercised too.
+    BuildOptions opt;
+    opt.numThreads = 3;
+    opt.scale = 0.25;
+    WorkloadBuild build = findWorkload("histogram")->build(opt);
+    sim::Machine machine(std::move(build.program));
+    build.applyTo(machine);
+    // The image is the kernel's first heap allocation.
+    mem::BumpAllocator heap(mem::Layout::kHeapBase, mem::Layout::kHeapSize);
+    const std::uint64_t image = heap.alloc(19500);
+    for (std::uint64_t i = 0; i < 19500; ++i) {
+        // The default input draws every pixel from [16, 240).
+        const std::uint8_t pixel = machine.memory().readByte(image + i);
+        ASSERT_GE(pixel, 16) << "pixel " << i;
+        ASSERT_LT(pixel, 240) << "pixel " << i;
+    }
 }
 
 TEST(LuNcb, LaserHeapShiftReducesFalseSharing)

@@ -1,8 +1,9 @@
 /**
  * @file
  * Trace codec bench: per-column encode/decode throughput for both
- * block codecs, columnar-vs-v2 compression on the full workload corpus,
- * and whole-trace vs windowed-seek replay latency.
+ * block codecs, whole-writer throughput and columnar-vs-v2 compression
+ * on the full workload corpus, and whole-trace vs windowed-seek replay
+ * latency.
  *
  * Acceptance:
  *   - the columnar format encodes the corpus's record streams >= 1.3x
@@ -10,7 +11,10 @@
  *     (sized by v2RecordStreamBytes, a reference kept in this bench);
  *   - replaying a 10% cycle window through the block index reads < 25%
  *     of the payload bytes (measured via the trace.file.bytes_read
- *     counter, so it reflects what the seek path actually touched).
+ *     counter, so it reflects what the seek path actually touched);
+ *   - encoding the corpus a second time with TraceWriter reproduces the
+ *     first encode byte for byte (the line also reports the writer's
+ *     records/s).
  */
 
 #include <algorithm>
@@ -158,6 +162,48 @@ recordStreamBytes(const trace::Trace &t)
     return full.finalize().size() - none.finalize().size();
 }
 
+/** Whole-writer throughput over a trace corpus. */
+struct WriterResult
+{
+    std::uint64_t records = 0;
+    double recordsPerSecond = 0;
+    /** Every trace's second encode equals its first. */
+    bool identical = true;
+};
+
+/**
+ * Encode every trace of @p traces with a fresh TraceWriter (append +
+ * finalize, as a capture or a re-encode does), repeating until the loop
+ * runs long enough for the CPU clock's granularity not to matter.
+ */
+WriterResult
+timeWriter(const std::vector<std::shared_ptr<const trace::Trace>> &traces)
+{
+    WriterResult result;
+    std::vector<std::vector<std::uint8_t>> first;
+    for (const auto &t : traces)
+        result.records += t->records.size();
+    int reps = 0;
+    double elapsed = 0;
+    while (elapsed < 0.05 || reps < 3) {
+        std::vector<std::vector<std::uint8_t>> images;
+        images.reserve(traces.size());
+        const double start = cpuSeconds();
+        for (const auto &t : traces) {
+            trace::TraceWriter writer(t->meta);
+            writer.appendAll(t->records);
+            images.push_back(writer.finalize());
+        }
+        elapsed += cpuSeconds() - start;
+        if (reps++ == 0)
+            first = std::move(images);
+        else if (images != first)
+            result.identical = false;
+    }
+    result.recordsPerSecond = double(result.records) * reps / elapsed;
+    return result;
+}
+
 } // namespace
 
 int
@@ -172,11 +218,13 @@ main()
     std::shared_ptr<const trace::Trace> biggest;
     std::uint64_t v2_bytes = 0, columnar_bytes = 0;
     std::size_t corpus = 0;
+    std::vector<std::shared_ptr<const trace::Trace>> traces;
     for (const auto &w : workloads::allWorkloads()) {
         auto t = runner.capture(w, {});
         if (t->records.empty())
             continue;
         ++corpus;
+        traces.push_back(t);
         v2_bytes += v2RecordStreamBytes(*t);
         columnar_bytes += recordStreamBytes(*t);
         if (!biggest || t->records.size() > biggest->records.size())
@@ -191,6 +239,15 @@ main()
                 corpus, humanBytes(v2_bytes).c_str(), trace::kTraceVersion,
                 humanBytes(columnar_bytes).c_str(),
                 fmtTimes(ratio).c_str());
+
+    // ---- Whole-writer throughput ----
+    const WriterResult writer = timeWriter(traces);
+    std::printf("writer: %s records/s over the corpus's %llu records "
+                "(TraceWriter append + finalize, CPU time); second "
+                "encode byte-identical: %s\n\n",
+                fmtDouble(writer.recordsPerSecond, 0).c_str(),
+                static_cast<unsigned long long>(writer.records),
+                writer.identical ? "yes" : "NO");
 
     // ---- Per-column, per-codec throughput ----
     // Tile the biggest capture so each column is a few hundred KB and
@@ -328,6 +385,10 @@ main()
         .set("compression_ratio", obs::Json(ratio))
         .set("compression_acceptance", obs::Json(1.3))
         .set("compression_pass", obs::Json(ratio_pass))
+        .set("writer_records", obs::Json(writer.records))
+        .set("writer_records_per_second",
+             obs::Json(writer.recordsPerSecond))
+        .set("writer_reencode_identical", obs::Json(writer.identical))
         .set("codec_throughput", std::move(codec_json))
         .set("records_per_column",
              obs::Json(std::uint64_t(big.records.size())))
@@ -339,5 +400,5 @@ main()
         .set("window_pass", obs::Json(window_pass));
     const core::SweepStats stats = runner.stats();
     bench::writeTelemetry(telemetry, &stats);
-    return ratio_pass && window_pass ? 0 : 1;
+    return ratio_pass && window_pass && writer.identical ? 0 : 1;
 }

@@ -161,7 +161,8 @@ ExperimentRunner::runLaser(const workloads::WorkloadDef &w, double scale,
     sim::MachineConfig rmc = mc;
     rmc.timing.base += cfg_.timing.pinBaseOverhead;
     // The re-run starts from the same initial memory image: phase 1's
-    // build options are identical, so its inits serve unchanged.
+    // build options are identical, so the image phase 1 synthesized
+    // serves unchanged.
     sim::Machine repaired(std::move(instrumented), rmc);
     build.applyTo(repaired);
     pebs::PebsMonitor rmonitor(repaired.addressSpace(),

@@ -82,11 +82,4 @@ Memory::writeByte(std::uint64_t addr, std::uint8_t value)
     (*pageFor(addr))[addr % kPageBytes] = value;
 }
 
-void
-Memory::fill(std::uint64_t addr, std::uint64_t count, std::uint8_t value)
-{
-    for (std::uint64_t i = 0; i < count; ++i)
-        writeByte(addr + i, value);
-}
-
 } // namespace laser::mem

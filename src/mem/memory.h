@@ -50,9 +50,6 @@ class Memory
     /** Write a single byte. */
     void writeByte(std::uint64_t addr, std::uint8_t value);
 
-    /** Bulk fill helper for workload initialization. */
-    void fill(std::uint64_t addr, std::uint64_t count, std::uint8_t value);
-
     /** Number of distinct pages touched so far. */
     std::size_t pagesTouched() const { return table_.size(); }
 

@@ -19,44 +19,12 @@ bitsFor(std::uint64_t v)
     return static_cast<unsigned>(std::bit_width(v));
 }
 
-/** LSB-first fixed-width bit packer; pad bits in the last byte are 0. */
-struct BitWriter
+/** Length of @p v as a LEB128 varint. */
+std::size_t
+varBytes(std::uint64_t v)
 {
-    std::vector<std::uint8_t> &out;
-    std::uint8_t acc = 0;
-    unsigned n = 0;
-
-    explicit BitWriter(std::vector<std::uint8_t> &o) : out(o) {}
-
-    void
-    put(std::uint64_t v, unsigned width)
-    {
-        unsigned done = 0;
-        while (done < width) {
-            const unsigned take = std::min(width - done, 8u - n);
-            const std::uint64_t bits =
-                (v >> done) & ((1ull << take) - 1);
-            acc |= static_cast<std::uint8_t>(bits << n);
-            n += take;
-            done += take;
-            if (n == 8) {
-                out.push_back(acc);
-                acc = 0;
-                n = 0;
-            }
-        }
-    }
-
-    void
-    flush()
-    {
-        if (n > 0) {
-            out.push_back(acc);
-            acc = 0;
-            n = 0;
-        }
-    }
-};
+    return 1 + (static_cast<std::size_t>(std::bit_width(v | 1)) - 1) / 7;
+}
 
 /** Strict LSB-first unpacker over a fixed byte range. */
 struct BitReader
@@ -113,6 +81,24 @@ struct BitReader
 
 // -- DeltaVar ---------------------------------------------------------
 
+/** DeltaVar size of @p vals; sets @p sorted to whether they never
+ *  decrease. */
+std::size_t
+deltaVarBytes(const std::vector<std::uint64_t> &vals, bool *sorted)
+{
+    std::size_t bytes = 0;
+    bool ascending = true;
+    std::uint64_t prev = 0;
+    for (std::uint64_t v : vals) {
+        bytes += varBytes(
+            wire::zigzagEncode(static_cast<std::int64_t>(v - prev)));
+        ascending &= v >= prev;
+        prev = v;
+    }
+    *sorted = ascending;
+    return bytes;
+}
+
 void
 encodeDeltaVar(const std::vector<std::uint64_t> &vals,
                std::vector<std::uint8_t> *out)
@@ -142,68 +128,8 @@ decodeDeltaVar(const std::uint8_t *data, std::size_t size,
 
 // -- DictPack ---------------------------------------------------------
 
-/** Distinct sorted values of @p vals. */
-std::vector<std::uint64_t>
-buildDict(const std::vector<std::uint64_t> &vals)
-{
-    std::vector<std::uint64_t> dict(vals);
-    std::sort(dict.begin(), dict.end());
-    dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-    return dict;
-}
-
 constexpr std::uint8_t kDictSubPacked = 0;
 constexpr std::uint8_t kDictSubRle = 1;
-
-void
-encodeDictPack(const std::vector<std::uint64_t> &vals,
-               std::vector<std::uint8_t> *out)
-{
-    ByteWriter w(*out);
-    if (vals.empty())
-        return;
-    const std::vector<std::uint64_t> dict = buildDict(vals);
-    w.var(dict.size());
-    for (std::size_t i = 0; i < dict.size(); ++i)
-        w.var(i == 0 ? dict[0] : dict[i] - dict[i - 1]);
-
-    std::vector<std::uint64_t> indices;
-    indices.reserve(vals.size());
-    for (std::uint64_t v : vals)
-        indices.push_back(static_cast<std::uint64_t>(
-            std::lower_bound(dict.begin(), dict.end(), v) -
-            dict.begin()));
-
-    // Sub-encoding: bit-packed indices vs RLE runs, whichever is
-    // smaller (deterministic: packed wins ties).
-    std::vector<std::uint8_t> packed;
-    {
-        const unsigned width = bitsFor(dict.size() - 1);
-        BitWriter bits(packed);
-        for (std::uint64_t idx : indices)
-            bits.put(idx, width);
-        bits.flush();
-    }
-    std::vector<std::uint8_t> rle;
-    {
-        ByteWriter rw(rle);
-        for (std::size_t i = 0; i < indices.size();) {
-            std::size_t j = i;
-            while (j < indices.size() && indices[j] == indices[i])
-                ++j;
-            rw.var(indices[i]);
-            rw.var(j - i);
-            i = j;
-        }
-    }
-    if (packed.size() <= rle.size()) {
-        w.u8(kDictSubPacked);
-        out->insert(out->end(), packed.begin(), packed.end());
-    } else {
-        w.u8(kDictSubRle);
-        out->insert(out->end(), rle.begin(), rle.end());
-    }
-}
 
 bool
 decodeDictPack(const std::uint8_t *data, std::size_t size,
@@ -294,10 +220,7 @@ void
 encodeColumn(ColumnCodec codec, const std::vector<std::uint64_t> &vals,
              std::vector<std::uint8_t> *out)
 {
-    switch (codec) {
-      case ColumnCodec::DeltaVar: encodeDeltaVar(vals, out); return;
-      case ColumnCodec::DictPack: encodeDictPack(vals, out); return;
-    }
+    ColumnEncoder().encode(codec, vals, out);
 }
 
 bool
@@ -320,21 +243,172 @@ ColumnCodec
 chooseCodec(const std::vector<std::uint64_t> &vals,
             std::vector<std::uint8_t> *out)
 {
-    std::vector<std::uint8_t> delta;
-    encodeDeltaVar(vals, &delta);
-    // DictPack is worth trying even at high cardinality: address
+    return ColumnEncoder().choose(vals, out);
+}
+
+// ---------------------------------------------------------------------
+// ColumnEncoder
+// ---------------------------------------------------------------------
+
+ColumnCodec
+ColumnEncoder::choose(const std::vector<std::uint64_t> &vals,
+                      std::vector<std::uint8_t> *out)
+{
+    bool sorted = false;
+    const std::size_t delta = deltaVarBytes(vals, &sorted);
+    // DictPack is worth sizing even at high cardinality: address
     // columns cluster in a few tight regions, so the sorted dictionary
     // deltas stay small while the record-order deltas jump across
-    // regions. The O(n log n) dictionary build is bounded by the block
-    // size.
-    std::vector<std::uint8_t> dict;
-    encodeDictPack(vals, &dict);
+    // regions.
+    const std::size_t dict = planDictPack(vals, sorted);
     // Strictly smaller wins: a tie keeps DeltaVar (the lower codec id),
     // so the choice is deterministic and the file image reproducible.
-    const bool use_dict = dict.size() < delta.size();
-    const std::vector<std::uint8_t> &best = use_dict ? dict : delta;
-    out->insert(out->end(), best.begin(), best.end());
-    return use_dict ? ColumnCodec::DictPack : ColumnCodec::DeltaVar;
+    if (dict < delta) {
+        writeDictPack(out);
+        return ColumnCodec::DictPack;
+    }
+    encodeDeltaVar(vals, out);
+    return ColumnCodec::DeltaVar;
+}
+
+void
+ColumnEncoder::encode(ColumnCodec codec,
+                      const std::vector<std::uint64_t> &vals,
+                      std::vector<std::uint8_t> *out)
+{
+    switch (codec) {
+      case ColumnCodec::DeltaVar:
+        encodeDeltaVar(vals, out);
+        return;
+      case ColumnCodec::DictPack:
+        planDictPack(vals, std::is_sorted(vals.begin(), vals.end()));
+        writeDictPack(out);
+        return;
+    }
+}
+
+std::size_t
+ColumnEncoder::planDictPack(const std::vector<std::uint64_t> &vals,
+                            bool sorted)
+{
+    dict_.clear();
+    const std::size_t n = vals.size();
+    ranks_.resize(n);
+    if (n == 0)
+        return 0;
+    if (sorted) {
+        // Equal values are adjacent: the dictionary is the column with
+        // repeats dropped, and an index steps at each new value.
+        dict_.push_back(vals[0]);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (vals[i] != dict_.back())
+                dict_.push_back(vals[i]);
+            ranks_[i] = static_cast<std::uint32_t>(dict_.size() - 1);
+        }
+    } else {
+        rankUnsorted(vals);
+    }
+
+    std::size_t bytes = varBytes(dict_.size()) + 1; // + sub-encoding tag
+    for (std::size_t r = 0; r < dict_.size(); ++r)
+        bytes += varBytes(r == 0 ? dict_[0] : dict_[r] - dict_[r - 1]);
+
+    // Sub-encoding: bit-packed indices vs RLE runs, whichever is
+    // smaller (deterministic: packed wins ties). RLE sizing stops once
+    // it has lost.
+    width_ = bitsFor(dict_.size() - 1);
+    const std::size_t packed = (n * width_ + 7) / 8;
+    std::size_t rle = 0;
+    for (std::size_t i = 0; i < n && rle <= packed;) {
+        std::size_t j = i + 1;
+        while (j < n && ranks_[j] == ranks_[i])
+            ++j;
+        rle += varBytes(ranks_[i]) + varBytes(j - i);
+        i = j;
+    }
+    packed_ = packed <= rle;
+    return bytes + (packed_ ? packed : rle);
+}
+
+void
+ColumnEncoder::rankUnsorted(const std::vector<std::uint64_t> &vals)
+{
+    const std::size_t n = vals.size();
+    std::size_t capacity = 16;
+    while (capacity < 2 * n)
+        capacity *= 2;
+    const std::size_t mask = capacity - 1;
+    const unsigned shift =
+        64 - static_cast<unsigned>(std::countr_zero(capacity));
+    slotKeys_.resize(capacity);
+    slotRanks_.assign(capacity, kEmptySlot);
+    auto slot_of = [&](std::uint64_t v) {
+        std::size_t s = static_cast<std::size_t>(
+            (v * 0x9e3779b97f4a7c15ULL) >> shift);
+        while (slotRanks_[s] != kEmptySlot && slotKeys_[s] != v)
+            s = (s + 1) & mask;
+        return s;
+    };
+
+    // Pass 1: ranks_ holds each value's slot; dict_ collects the
+    // distinct values.
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t v = vals[i];
+        if (i > 0 && v == vals[i - 1]) {
+            ranks_[i] = ranks_[i - 1];
+            continue;
+        }
+        const std::size_t s = slot_of(v);
+        if (slotRanks_[s] == kEmptySlot) {
+            slotKeys_[s] = v;
+            slotRanks_[s] = 0;
+            dict_.push_back(v);
+        }
+        ranks_[i] = static_cast<std::uint32_t>(s);
+    }
+    // Sort the distinct values, store each one's index in its slot, and
+    // turn every value's slot into that index.
+    std::sort(dict_.begin(), dict_.end());
+    for (std::size_t r = 0; r < dict_.size(); ++r)
+        slotRanks_[slot_of(dict_[r])] = static_cast<std::uint32_t>(r);
+    for (std::uint32_t &rank : ranks_)
+        rank = slotRanks_[rank];
+}
+
+void
+ColumnEncoder::writeDictPack(std::vector<std::uint8_t> *out) const
+{
+    if (dict_.empty())
+        return;
+    ByteWriter w(*out);
+    w.var(dict_.size());
+    for (std::size_t r = 0; r < dict_.size(); ++r)
+        w.var(r == 0 ? dict_[0] : dict_[r] - dict_[r - 1]);
+    if (packed_) {
+        // LSB-first fixed-width indices; pad bits in the last byte are 0.
+        w.u8(kDictSubPacked);
+        std::uint64_t acc = 0;
+        unsigned bits = 0;
+        for (std::uint32_t rank : ranks_) {
+            acc |= std::uint64_t(rank) << bits;
+            for (bits += width_; bits >= 8; bits -= 8) {
+                w.u8(static_cast<std::uint8_t>(acc));
+                acc >>= 8;
+            }
+        }
+        if (bits > 0)
+            w.u8(static_cast<std::uint8_t>(acc));
+    } else {
+        w.u8(kDictSubRle);
+        for (std::size_t i = 0; i < ranks_.size();) {
+            std::size_t j = i + 1;
+            while (j < ranks_.size() && ranks_[j] == ranks_[i])
+                ++j;
+            w.var(ranks_[i]);
+            w.var(j - i);
+            i = j;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

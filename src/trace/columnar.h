@@ -90,13 +90,65 @@ bool decodeColumn(ColumnCodec codec, const std::uint8_t *data,
                   std::vector<std::uint64_t> *out);
 
 /**
- * Encode @p vals with both codecs and keep the smaller (a tie breaks to
- * DeltaVar, so the choice — and therefore the file image — is
- * deterministic). The winning bytes are appended to @p out; the winning
- * codec is returned.
+ * Append @p vals with whichever codec encodes them smaller (a tie breaks
+ * to DeltaVar, so the choice — and therefore the file image — is
+ * deterministic) and return that codec. One-shot form of
+ * ColumnEncoder::choose.
  */
 ColumnCodec chooseCodec(const std::vector<std::uint64_t> &vals,
                         std::vector<std::uint8_t> *out);
+
+/**
+ * The column encoder behind encodeColumn and chooseCodec.
+ *
+ * It sizes both codecs exactly before writing a byte — varint lengths,
+ * the packed index width, RLE run lengths — and then encodes only the
+ * winner, straight onto the output. The DictPack dictionary comes from
+ * an open-addressed set of the column's distinct values, so only those
+ * are sorted; an already-sorted column (the cycle column) takes an O(n)
+ * path. Scratch buffers persist across calls: a TraceWriter keeps one
+ * encoder for all its blocks.
+ */
+class ColumnEncoder
+{
+  public:
+    /** Append @p vals with the smaller codec; return it (see
+     *  chooseCodec). */
+    ColumnCodec choose(const std::vector<std::uint64_t> &vals,
+                       std::vector<std::uint8_t> *out);
+
+    /** Append @p vals encoded with @p codec. */
+    void encode(ColumnCodec codec, const std::vector<std::uint64_t> &vals,
+                std::vector<std::uint8_t> *out);
+
+  private:
+    /**
+     * Build the sorted dictionary and every value's index into it, and
+     * return the DictPack size in bytes (0 for an empty column).
+     * @p sorted says the column never decreases.
+     */
+    std::size_t planDictPack(const std::vector<std::uint64_t> &vals,
+                             bool sorted);
+    /** Collect the distinct values through an open-addressed set,
+     *  sort only those, and index every value through its slot. */
+    void rankUnsorted(const std::vector<std::uint64_t> &vals);
+    /** Append the planned DictPack encoding. */
+    void writeDictPack(std::vector<std::uint8_t> *out) const;
+
+    /** Sorted distinct values of the planned column. */
+    std::vector<std::uint64_t> dict_;
+    /** Per value of the planned column: its index into dict_. */
+    std::vector<std::uint32_t> ranks_;
+    /** Bit-packed (true) or RLE (false) indices: the planned winner. */
+    bool packed_ = true;
+    unsigned width_ = 0;
+    /** Distinct-value set: keys, and each key's dictionary index once
+     *  known (kEmptySlot marks an empty slot, so every 64-bit value can
+     *  be a key). */
+    static constexpr std::uint32_t kEmptySlot = ~0u;
+    std::vector<std::uint64_t> slotKeys_;
+    std::vector<std::uint32_t> slotRanks_;
+};
 
 /** One block's index entry. */
 struct BlockInfo

@@ -42,6 +42,8 @@ TraceReplayer::buildEnvironment()
         error_ = "unknown workload \"" + meta_->workload + "\"";
         return;
     }
+    // Only the program is kept: the build's deferred input image is
+    // never applied, so replay synthesizes no inputs.
     workloads::WorkloadBuild build = def->build(meta_->build);
     program_ = std::move(build.program);
     space_ = std::make_unique<mem::AddressSpace>(program_,

@@ -333,12 +333,12 @@ wrapPayload(const std::vector<std::uint8_t> &payload_bytes,
 
 /**
  * Encode one block (the four column buffers) onto @p out, choosing each
- * column's codec, and return its filled index entry (firstRecord and
- * blobOffset left for the caller).
+ * column's codec with @p encoder, and return its filled index entry
+ * (firstRecord and blobOffset left for the caller).
  */
 columnar::BlockInfo
 encodeBlock(const std::vector<std::uint64_t> cols[columnar::kColumnCount],
-            std::vector<std::uint8_t> *out)
+            columnar::ColumnEncoder &encoder, std::vector<std::uint8_t> *out)
 {
     columnar::BlockInfo b;
     b.records = cols[columnar::kColCycle].size();
@@ -347,7 +347,7 @@ encodeBlock(const std::vector<std::uint64_t> cols[columnar::kColumnCount],
     const std::size_t start = out->size();
     for (std::size_t c = 0; c < columnar::kColumnCount; ++c) {
         const std::size_t col_start = out->size();
-        b.codec[c] = columnar::chooseCodec(cols[c], out);
+        b.codec[c] = encoder.choose(cols[c], out);
         b.columnBytes[c] = out->size() - col_start;
     }
     b.checksum = fnv1a(out->data() + start, out->size() - start);
@@ -477,7 +477,7 @@ void
 TraceWriter::flushBlock()
 {
     const std::size_t blob_offset = blob_.size();
-    columnar::BlockInfo b = encodeBlock(pending_, &blob_);
+    columnar::BlockInfo b = encodeBlock(pending_, encoder_, &blob_);
     b.firstRecord = recordCount_ - b.records;
     b.blobOffset = blob_offset;
     index_.blocks.push_back(b);
@@ -507,10 +507,12 @@ TraceWriter::finalize() const
 
     payload_bytes.insert(payload_bytes.end(), blob_.begin(), blob_.end());
     // The current partial block (finalize() is const, so it cannot be
-    // flushed into blob_) encodes straight onto the payload.
+    // flushed into blob_, nor use the writer's encoder scratch) encodes
+    // straight onto the payload.
     if (!pending_[columnar::kColCycle].empty()) {
         const std::size_t blob_offset = blob_.size();
-        columnar::BlockInfo b = encodeBlock(pending_, &payload_bytes);
+        columnar::ColumnEncoder encoder;
+        columnar::BlockInfo b = encodeBlock(pending_, encoder, &payload_bytes);
         b.firstRecord = recordCount_ - b.records;
         b.blobOffset = blob_offset;
         index.blocks.push_back(b);

@@ -205,6 +205,8 @@ class TraceWriter : public analysis::RecordSink
     std::size_t blockRecords_;
     /** Column buffers of the current (unflushed) block. */
     std::vector<std::uint64_t> pending_[columnar::kColumnCount];
+    /** Codec chooser whose scratch every flushed block reuses. */
+    columnar::ColumnEncoder encoder_;
     /** Encoded bytes of all flushed blocks. */
     std::vector<std::uint8_t> blob_;
     /** Index entries of all flushed blocks. */

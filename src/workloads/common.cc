@@ -1,5 +1,7 @@
 #include "workloads/common.h"
 
+#include <atomic>
+
 namespace laser::workloads {
 
 using namespace laser::isa;
@@ -31,6 +33,56 @@ sheriffCompatName(SheriffCompat compat)
       case SheriffCompat::Incompatible:    return "i";
     }
     return "???";
+}
+
+namespace {
+
+std::atomic<std::uint64_t> g_imagesSynthesized{0};
+
+} // namespace
+
+WorkloadBuild::WorkloadBuild(isa::Program program,
+                             std::vector<MemInit> inits,
+                             ImageGenerator deferred)
+    : program(std::move(program)),
+      inits_(std::move(inits)),
+      deferred_(std::move(deferred))
+{
+}
+
+const WorkloadBuild::Image &
+WorkloadBuild::image()
+{
+    if (deferred_) {
+        image_ = deferred_();
+        deferred_ = nullptr;
+        g_imagesSynthesized.fetch_add(1, std::memory_order_relaxed);
+    }
+    return image_;
+}
+
+void
+WorkloadBuild::applyTo(sim::Machine &m)
+{
+    for (const MemInit &mi : inits_)
+        m.memory().write(mi.addr, mi.size, mi.value);
+    const Image &img = image();
+    const std::size_t n = img.bytes.size();
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        std::uint64_t word = 0; // little-endian: byte i + b is byte b
+        for (std::size_t b = 0; b < 8; ++b)
+            word |= std::uint64_t(img.bytes[i + b]) << (8 * b);
+        m.memory().write(img.base + i, 8, word);
+    }
+    for (; i < n; ++i)
+        m.memory().write(img.base + i, 1, img.bytes[i]);
+}
+
+std::uint64_t
+imagesSynthesized()
+{
+    return g_imagesSynthesized.load(std::memory_order_relaxed);
 }
 
 void

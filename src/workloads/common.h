@@ -64,13 +64,6 @@ class Ctx
         inits.push_back({addr, 4, value});
     }
 
-    /** Record an initial byte. */
-    void
-    init8(std::uint64_t addr, std::uint8_t value)
-    {
-        inits.push_back({addr, 1, value});
-    }
-
     /**
      * Allocate and initialize a barrier object in globals (cache-line
      * aligned so the barrier itself does not falsely share).
@@ -83,20 +76,29 @@ class Ctx
         return addr;
     }
 
+    /**
+     * Defer a large input image to first use (see WorkloadBuild); it
+     * is written after the records recorded here.
+     */
+    void
+    deferImage(WorkloadBuild::ImageGenerator generator)
+    {
+        deferred = std::move(generator);
+    }
+
     /** Finalize into a WorkloadBuild. */
     WorkloadBuild
     finish()
     {
-        WorkloadBuild out;
-        out.program = a.finalize();
-        out.inits = std::move(inits);
-        return out;
+        return WorkloadBuild(a.finalize(), std::move(inits),
+                             std::move(deferred));
     }
 
     isa::Asm a;
     mem::BumpAllocator heap;
     mem::BumpAllocator globals;
     std::vector<WorkloadBuild::MemInit> inits;
+    WorkloadBuild::ImageGenerator deferred;
     laser::Rng rng;
     BuildOptions opt;
 };

@@ -150,34 +150,31 @@ buildHistogram(const BuildOptions &opt, bool alt_input)
 
     // Input synthesis: the default image avoids the boundary bins
     // entirely; the alternative image (histogram') concentrates on them.
-    // Pixels are recorded eight to an init64 word (little-endian, so
-    // pixel i is byte i), with a byte-wise tail.
+    // The image is the build's only use of the input RNG, so the
+    // generator draws from a copy of it.
     const std::int64_t pixels = pixels_per_thread * opt.numThreads;
-    std::uint64_t word = 0;
-    for (std::int64_t i = 0; i < pixels; ++i) {
-        std::uint8_t pixel;
-        if (alt_input) {
-            // 95% of pixels land in the falsely-shared boundary bins.
-            if (ctx.rng.chance(0.95)) {
-                pixel = ctx.rng.chance(0.5)
-                            ? std::uint8_t(252 + ctx.rng.below(4))
-                            : std::uint8_t(ctx.rng.below(4));
+    ctx.deferImage([seed_rng = ctx.rng, image, pixels, alt_input] {
+        laser::Rng rng = seed_rng;
+        WorkloadBuild::Image out;
+        out.base = image;
+        out.bytes.resize(static_cast<std::size_t>(pixels));
+        for (std::uint8_t &pixel : out.bytes) {
+            if (alt_input) {
+                // 95% of pixels land in the falsely-shared boundary
+                // bins.
+                if (rng.chance(0.95)) {
+                    pixel = rng.chance(0.5)
+                                ? std::uint8_t(252 + rng.below(4))
+                                : std::uint8_t(rng.below(4));
+                } else {
+                    pixel = std::uint8_t(16 + rng.below(224));
+                }
             } else {
-                pixel = std::uint8_t(16 + ctx.rng.below(224));
+                pixel = std::uint8_t(16 + rng.below(224));
             }
-        } else {
-            pixel = std::uint8_t(16 + ctx.rng.below(224));
         }
-        word |= std::uint64_t(pixel) << (8 * (i % 8));
-        if (i % 8 == 7) {
-            ctx.init64(image + std::uint64_t(i - 7), word);
-            word = 0;
-        }
-    }
-    for (std::int64_t i = pixels - pixels % 8; i < pixels; ++i) {
-        ctx.init8(image + std::uint64_t(i),
-                  std::uint8_t(word >> (8 * (i % 8))));
-    }
+        return out;
+    });
 
     a.at(20).tid(R1);
     a.at(22);

@@ -99,27 +99,71 @@ struct BuildOptions
     double scale = 1.0;
 };
 
-/** A built workload: program + initial memory image. */
-struct WorkloadBuild
+/**
+ * A built workload: program + initial memory image.
+ *
+ * A large input image (histogram's pixels) is synthesized on first use,
+ * not at build time: the offline replay path needs only the program, so
+ * it never pays for inputs it would throw away. The image is a pure
+ * function of the build options, so when it is made does not change it.
+ */
+class WorkloadBuild
 {
-    isa::Program program;
-
+  public:
     struct MemInit
     {
         std::uint64_t addr;
         std::uint8_t size;
         std::uint64_t value;
     };
-    std::vector<MemInit> inits;
 
-    /** Write the initial memory image into a machine. */
-    void
-    applyTo(sim::Machine &m) const
+    /** A block of initial bytes starting at @p base. */
+    struct Image
     {
-        for (const MemInit &mi : inits)
-            m.memory().write(mi.addr, mi.size, mi.value);
-    }
+        std::uint64_t base = 0;
+        std::vector<std::uint8_t> bytes;
+    };
+
+    /**
+     * Synthesizes the deferred image. It must capture by value (it
+     * outlives the builder's locals) and return the same bytes on every
+     * call.
+     */
+    using ImageGenerator = std::function<Image()>;
+
+    WorkloadBuild() = default;
+    WorkloadBuild(isa::Program program, std::vector<MemInit> inits,
+                  ImageGenerator deferred = {});
+
+    isa::Program program;
+
+    /** The initial-memory records known at build time. */
+    const std::vector<MemInit> &inits() const { return inits_; }
+
+    /**
+     * The deferred image (empty when there is none). The first call
+     * runs the generator and keeps its bytes, so later calls (the
+     * repaired re-run's) reuse them.
+     */
+    const Image &image();
+
+    /**
+     * Write the initial memory image into a machine: the records, then
+     * the deferred image as 8-byte words with a byte-wise tail.
+     */
+    void applyTo(sim::Machine &m);
+
+  private:
+    std::vector<MemInit> inits_;
+    ImageGenerator deferred_;
+    Image image_;
 };
+
+/**
+ * Number of deferred images synthesized in this process so far (every
+ * thread, every build): the offline replay path adds none.
+ */
+std::uint64_t imagesSynthesized();
 
 /** A registered workload: metadata + builder. */
 struct WorkloadDef

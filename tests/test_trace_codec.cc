@@ -1,13 +1,16 @@
 /**
  * @file
  * Tests for the columnar trace layer: per-column codec round-trips and
- * strict rejection, block-index bomb bounds, seek-window decode
- * equivalence, streaming-replay memory bounds, header-version listings
- * and the gc-vs-disk-hit race paths.
+ * strict rejection, the column encoder against the sort-based
+ * encode-both reference it replaced, block-index bomb bounds,
+ * seek-window decode equivalence, streaming-replay memory bounds,
+ * header-version listings and the gc-vs-disk-hit race paths.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +25,7 @@
 #include "trace/source.h"
 #include "trace/trace.h"
 #include "trace/trace_file.h"
+#include "workloads/workload.h"
 
 namespace laser::trace {
 namespace {
@@ -166,6 +170,312 @@ TEST(ColumnCodec, ChooserIsDeterministicAndMinimal)
                 << " is smaller";
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Encoder differential test: the size-first chooser against the
+// encode-both, sort-based chooser it replaced
+// ---------------------------------------------------------------------
+
+/** Reference model: the sort-based DictPack encoder and the chooser
+ *  that materialized both codecs and kept the smaller. */
+namespace reference {
+
+void
+putVar(std::vector<std::uint8_t> *out, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        out->push_back(static_cast<std::uint8_t>(v) | 0x80);
+        v >>= 7;
+    }
+    out->push_back(static_cast<std::uint8_t>(v));
+}
+
+std::vector<std::uint8_t>
+deltaVar(const std::vector<std::uint64_t> &vals)
+{
+    std::vector<std::uint8_t> out;
+    std::uint64_t prev = 0;
+    for (std::uint64_t v : vals) {
+        const auto d = static_cast<std::int64_t>(v - prev);
+        putVar(&out, (static_cast<std::uint64_t>(d) << 1) ^
+                         static_cast<std::uint64_t>(d >> 63));
+        prev = v;
+    }
+    return out;
+}
+
+/** Sort-based DictPack; sets the sub-encoding tag it chose. */
+std::vector<std::uint8_t>
+dictPack(const std::vector<std::uint64_t> &vals, std::uint8_t *sub = nullptr)
+{
+    std::vector<std::uint8_t> out;
+    if (vals.empty())
+        return out;
+    std::vector<std::uint64_t> dict(vals);
+    std::sort(dict.begin(), dict.end());
+    dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
+    putVar(&out, dict.size());
+    for (std::size_t i = 0; i < dict.size(); ++i)
+        putVar(&out, i == 0 ? dict[0] : dict[i] - dict[i - 1]);
+    std::vector<std::uint64_t> indices;
+    for (std::uint64_t v : vals)
+        indices.push_back(static_cast<std::uint64_t>(
+            std::lower_bound(dict.begin(), dict.end(), v) - dict.begin()));
+
+    std::vector<std::uint8_t> packed;
+    {
+        const auto width =
+            static_cast<unsigned>(std::bit_width(dict.size() - 1));
+        std::uint8_t acc = 0;
+        unsigned n = 0;
+        for (std::uint64_t idx : indices) {
+            for (unsigned b = 0; b < width; ++b) {
+                acc |= static_cast<std::uint8_t>(((idx >> b) & 1) << n);
+                if (++n == 8) {
+                    packed.push_back(acc);
+                    acc = 0;
+                    n = 0;
+                }
+            }
+        }
+        if (n > 0)
+            packed.push_back(acc);
+    }
+    std::vector<std::uint8_t> rle;
+    for (std::size_t i = 0; i < indices.size();) {
+        std::size_t j = i;
+        while (j < indices.size() && indices[j] == indices[i])
+            ++j;
+        putVar(&rle, indices[i]);
+        putVar(&rle, j - i);
+        i = j;
+    }
+    const bool use_packed = packed.size() <= rle.size();
+    if (sub)
+        *sub = use_packed ? 0 : 1;
+    out.push_back(use_packed ? 0 : 1);
+    const std::vector<std::uint8_t> &body = use_packed ? packed : rle;
+    out.insert(out.end(), body.begin(), body.end());
+    return out;
+}
+
+col::ColumnCodec
+choose(const std::vector<std::uint64_t> &vals,
+       std::vector<std::uint8_t> *out)
+{
+    const std::vector<std::uint8_t> delta = deltaVar(vals);
+    const std::vector<std::uint8_t> dict = dictPack(vals);
+    const bool use_dict = dict.size() < delta.size();
+    const std::vector<std::uint8_t> &best = use_dict ? dict : delta;
+    out->insert(out->end(), best.begin(), best.end());
+    return use_dict ? col::ColumnCodec::DictPack
+                    : col::ColumnCodec::DeltaVar;
+}
+
+} // namespace reference
+
+/** What a differential run exercised (so a shrunken corpus fails). */
+struct DiffCoverage
+{
+    int columns = 0;
+    int dictWins = 0;
+    int rleWins = 0;
+    int codecTies = 0;
+    int subTies = 0;
+};
+
+/** Assert @p encoder and the reference model agree on @p vals. */
+void
+expectSameAsReference(col::ColumnEncoder &encoder,
+                      const std::vector<std::uint64_t> &vals,
+                      const std::string &what, DiffCoverage *cov)
+{
+    std::vector<std::uint8_t> want, got = {0xab}; // got has a prefix
+    const col::ColumnCodec want_codec = reference::choose(vals, &want);
+    const col::ColumnCodec got_codec = encoder.choose(vals, &got);
+    EXPECT_EQ(got_codec, want_codec) << what;
+    ASSERT_EQ(got.front(), 0xab) << what;
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin() + 1,
+                           got.end()))
+        << what << ": " << want.size() << " reference bytes, "
+        << got.size() - 1 << " encoded";
+
+    // DictPack alone must match too: it is the encodeColumn contract.
+    std::uint8_t sub = 0;
+    const std::vector<std::uint8_t> want_dict =
+        reference::dictPack(vals, &sub);
+    std::vector<std::uint8_t> got_dict;
+    encoder.encode(col::ColumnCodec::DictPack, vals, &got_dict);
+    EXPECT_EQ(got_dict, want_dict) << what;
+    std::vector<std::uint8_t> one_shot;
+    col::encodeColumn(col::ColumnCodec::DictPack, vals, &one_shot);
+    EXPECT_EQ(one_shot, want_dict) << what;
+
+    ++cov->columns;
+    cov->dictWins += want_codec == col::ColumnCodec::DictPack;
+    cov->codecTies +=
+        !vals.empty() && want_dict.size() == reference::deltaVar(vals).size();
+    if (!vals.empty()) {
+        cov->rleWins += sub == 1;
+        // Recompute both sub-encoding sizes to spot a packed/RLE tie.
+        std::vector<std::uint64_t> dict(vals);
+        std::sort(dict.begin(), dict.end());
+        dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
+        const auto width =
+            static_cast<std::size_t>(std::bit_width(dict.size() - 1));
+        const std::size_t packed = (vals.size() * width + 7) / 8;
+        std::size_t rle = 0;
+        for (std::size_t i = 0; i < vals.size();) {
+            std::size_t j = i;
+            while (j < vals.size() && vals[j] == vals[i])
+                ++j;
+            const auto idx = static_cast<std::uint64_t>(
+                std::lower_bound(dict.begin(), dict.end(), vals[i]) -
+                dict.begin());
+            std::vector<std::uint8_t> tmp;
+            reference::putVar(&tmp, idx);
+            reference::putVar(&tmp, j - i);
+            rle += tmp.size();
+            i = j;
+        }
+        cov->subTies += packed == rle;
+    }
+}
+
+TEST(ColumnEncoder, MatchesSortBasedReferenceOnSeededColumns)
+{
+    col::ColumnEncoder encoder; // one encoder: scratch reused throughout
+    DiffCoverage cov;
+    for (const auto &vals : codecCorpus())
+        expectSameAsReference(encoder, vals, "corpus", &cov);
+
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        std::uint64_t rng = 0x9e3779b97f4a7c15ull * seed;
+        const std::size_t n = 1 + nextRand(&rng) % 5000;
+        const std::string tag = "seed " + std::to_string(seed);
+        auto column = [&](auto gen) {
+            std::vector<std::uint64_t> v(n);
+            for (std::size_t i = 0; i < n; ++i)
+                v[i] = gen(i);
+            return v;
+        };
+
+        // Sorted with repeats (a cycle column), and strictly sorted.
+        std::uint64_t c = nextRand(&rng) >> 20;
+        expectSameAsReference(encoder, column([&](std::size_t) {
+            return c += nextRand(&rng) % 4;
+        }), tag + " sorted", &cov);
+        expectSameAsReference(encoder, column([&](std::size_t) {
+            return c += 1 + nextRand(&rng) % 200;
+        }), tag + " ascending", &cov);
+        // Constant, and 2-4 distinct values in runs and scattered.
+        const std::uint64_t k = nextRand(&rng);
+        expectSameAsReference(encoder, column([&](std::size_t) {
+            return k;
+        }), tag + " constant", &cov);
+        const std::uint64_t distinct = 2 + seed % 3;
+        expectSameAsReference(encoder, column([&](std::size_t) {
+            return 0x400000 + 4 * (nextRand(&rng) % distinct);
+        }), tag + " few scattered", &cov);
+        expectSameAsReference(encoder, column([&](std::size_t i) {
+            return std::uint64_t(i / (1 + seed * 37) % distinct);
+        }), tag + " few in runs", &cov);
+        // Clustered addresses: heap words and a stack region.
+        expectSameAsReference(encoder, column([&](std::size_t) {
+            return nextRand(&rng) % 3 == 0
+                       ? 0x7ffd'0000'0000ull + nextRand(&rng) % 4096
+                       : 0x1000000 + (nextRand(&rng) % 700) * 8;
+        }), tag + " clustered", &cov);
+        // Near 2^64, where deltas and dictionary gaps wrap.
+        expectSameAsReference(encoder, column([&](std::size_t) {
+            return nextRand(&rng) % 2 ? ~0ull - nextRand(&rng) % 64
+                                      : nextRand(&rng) % 64;
+        }), tag + " near 2^64", &cov);
+        expectSameAsReference(encoder, column([&](std::size_t) {
+            return ~0ull - nextRand(&rng) % 3;
+        }), tag + " top three", &cov);
+        // Short columns: where the codec sizes tie.
+        for (int m = 0; m < 200; ++m) {
+            const std::size_t len = 1 + nextRand(&rng) % 24;
+            const std::uint64_t span = 1 + nextRand(&rng) % 300;
+            std::vector<std::uint64_t> v(len);
+            for (std::uint64_t &x : v)
+                x = nextRand(&rng) % span;
+            expectSameAsReference(encoder, v, tag + " short", &cov);
+        }
+        // Two runs of two values: packed and RLE sizes tie at 25-32
+        // values (4 bytes each).
+        for (int m = 0; m < 20; ++m) {
+            const std::size_t len = 8 + nextRand(&rng) % 57;
+            const std::size_t split = 1 + nextRand(&rng) % (len - 1);
+            std::vector<std::uint64_t> v(len, nextRand(&rng) % 1000);
+            std::fill(v.begin() + std::ptrdiff_t(split), v.end(),
+                      v[0] + 1 + nextRand(&rng) % 1000);
+            expectSameAsReference(encoder, v, tag + " two runs", &cov);
+        }
+    }
+    // 4096 distinct values, the default block size.
+    std::vector<std::uint64_t> wide;
+    std::uint64_t rng = 0x1234567;
+    for (std::uint64_t i = 0; i < col::kDefaultBlockRecords; ++i)
+        wide.push_back(nextRand(&rng));
+    expectSameAsReference(encoder, wide, "4096 distinct", &cov);
+    std::sort(wide.begin(), wide.end());
+    expectSameAsReference(encoder, wide, "4096 distinct sorted", &cov);
+
+    EXPECT_GT(cov.columns, 5000);
+    EXPECT_GT(cov.dictWins, 100);
+    EXPECT_GT(cov.rleWins, 10);
+    EXPECT_GT(cov.codecTies, 10) << "no DictPack/DeltaVar size ties";
+    EXPECT_GT(cov.subTies, 10) << "no packed/RLE size ties";
+}
+
+TEST(ColumnEncoder, ReencodesCapturedCorpusByteForByte)
+{
+    col::ColumnEncoder encoder;
+    DiffCoverage cov;
+    int traces = 0;
+    for (const workloads::WorkloadDef &def : workloads::allWorkloads()) {
+        const Trace captured = captureTrace(def);
+        TraceWriter writer(captured.meta);
+        writer.appendAll(captured.records);
+        const std::vector<std::uint8_t> file = writer.finalize();
+
+        TraceReader reader;
+        ASSERT_EQ(reader.parse(file), TraceStatus::Ok)
+            << def.info.name << ": " << reader.error();
+        TraceWriter again(reader.trace().meta);
+        again.appendAll(reader.trace().records);
+        EXPECT_EQ(again.finalize(), file) << def.info.name;
+        traces += !captured.records.empty();
+
+        // Every column of every block, at the writer's block size and a
+        // small one, encodes as the reference model does.
+        for (const std::size_t block : {col::kDefaultBlockRecords,
+                                        std::size_t{256}}) {
+            for (std::size_t i = 0; i < captured.records.size();
+                 i += block) {
+                std::vector<std::uint64_t> cols[col::kColumnCount];
+                for (std::size_t r = i;
+                     r < std::min(i + block, captured.records.size());
+                     ++r) {
+                    const pebs::PebsRecord &rec = captured.records[r];
+                    cols[col::kColPc].push_back(rec.pc);
+                    cols[col::kColAddr].push_back(rec.dataAddr);
+                    cols[col::kColCore].push_back(static_cast<std::uint64_t>(
+                        static_cast<std::int64_t>(rec.core)));
+                    cols[col::kColCycle].push_back(rec.cycle);
+                }
+                for (std::size_t c = 0; c < col::kColumnCount; ++c)
+                    expectSameAsReference(
+                        encoder, cols[c],
+                        def.info.name + " " + col::columnName(c), &cov);
+            }
+        }
+    }
+    EXPECT_GT(traces, 20); // plain histogram and a few others: none
+    EXPECT_GT(cov.dictWins, 100);
 }
 
 TEST(BlockIndex, RejectsRecordCountBombs)

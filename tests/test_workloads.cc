@@ -3,14 +3,18 @@
  * Tests for the workload suite: registry integrity, program validity,
  * determinism, and — most importantly — that each kernel reproduces the
  * sharing structure the paper describes (parameterized over all 35
- * workloads where applicable).
+ * workloads where applicable) — and that deferred input images leave
+ * replay's programs and the synthesized images unchanged.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/experiment.h"
 #include "mem/address_space.h"
 #include "mem/allocator.h"
 #include "sim/machine.h"
+#include "trace/capture.h"
+#include "trace/replay.h"
 #include "workloads/workload.h"
 
 namespace laser::workloads {
@@ -158,8 +162,9 @@ TEST(Histogram, FalseSharingIsInputDependent)
 
 TEST(Histogram, PixelImageCoversEveryPixel)
 {
-    // 3 threads x 6500 pixels = 19500, not a multiple of the 8 pixels an
-    // init64 word holds, so the byte-wise tail is exercised too.
+    // 3 threads x 6500 pixels = 19500, not a multiple of the 8 pixels
+    // applyTo() writes as one word, so the byte-wise tail is exercised
+    // too.
     BuildOptions opt;
     opt.numThreads = 3;
     opt.scale = 0.25;
@@ -169,11 +174,15 @@ TEST(Histogram, PixelImageCoversEveryPixel)
     // The image is the kernel's first heap allocation.
     mem::BumpAllocator heap(mem::Layout::kHeapBase, mem::Layout::kHeapSize);
     const std::uint64_t image = heap.alloc(19500);
+    ASSERT_EQ(build.image().base, image);
+    ASSERT_EQ(build.image().bytes.size(), 19500u);
     for (std::uint64_t i = 0; i < 19500; ++i) {
-        // The default input draws every pixel from [16, 240).
+        // The default input draws every pixel from [16, 240), and
+        // pixel i lands at byte i.
         const std::uint8_t pixel = machine.memory().readByte(image + i);
         ASSERT_GE(pixel, 16) << "pixel " << i;
         ASSERT_LT(pixel, 240) << "pixel " << i;
+        ASSERT_EQ(pixel, build.image().bytes[i]) << "pixel " << i;
     }
 }
 
@@ -262,6 +271,177 @@ TEST(SheriffCompat, MatrixMatchesTable1)
               true);
     EXPECT_EQ(findWorkload("linear_regression")->info.sheriffDetectsBug,
               false);
+}
+
+// ---------------------------------------------------------------------
+// Deferred input images: replay builds programs only
+// ---------------------------------------------------------------------
+
+/** Every field of @p a and @p b: code, source map and segments. */
+void
+expectSamePrograms(const isa::Program &a, const isa::Program &b,
+                   const std::string &what)
+{
+    EXPECT_EQ(a.name, b.name) << what;
+    ASSERT_EQ(a.code.size(), b.code.size()) << what;
+    for (std::size_t i = 0; i < a.code.size(); ++i) {
+        const isa::Instruction &x = a.code[i];
+        const isa::Instruction &y = b.code[i];
+        EXPECT_TRUE(x.op == y.op && x.dst == y.dst && x.src1 == y.src1 &&
+                    x.src2 == y.src2 && x.size == y.size &&
+                    x.sync == y.sync && x.useSsb == y.useSsb &&
+                    x.ssbSkip == y.ssbSkip && x.target == y.target &&
+                    x.imm == y.imm && x.file == y.file &&
+                    x.line == y.line)
+            << what << " instruction " << i << ": "
+            << a.disassemble(static_cast<std::uint32_t>(i)) << " vs "
+            << b.disassemble(static_cast<std::uint32_t>(i));
+    }
+    ASSERT_EQ(a.files.size(), b.files.size()) << what;
+    for (std::size_t i = 0; i < a.files.size(); ++i) {
+        EXPECT_EQ(a.files[i].name, b.files[i].name) << what;
+        EXPECT_EQ(a.files[i].isLibrary, b.files[i].isLibrary) << what;
+    }
+    ASSERT_EQ(a.segments.size(), b.segments.size()) << what;
+    for (std::size_t i = 0; i < a.segments.size(); ++i) {
+        EXPECT_EQ(a.segments[i].name, b.segments[i].name) << what;
+        EXPECT_EQ(a.segments[i].isLibrary, b.segments[i].isLibrary)
+            << what;
+        EXPECT_EQ(a.segments[i].begin, b.segments[i].begin) << what;
+        EXPECT_EQ(a.segments[i].end, b.segments[i].end) << what;
+    }
+}
+
+/** A record-less capture of @p def, as the replay path receives it. */
+trace::Trace
+emptyCapture(const WorkloadDef &def, double scale, bool manual_fix)
+{
+    trace::CaptureOptions opt;
+    opt.scale = scale;
+    opt.manualFix = manual_fix;
+    trace::Trace t;
+    t.meta = trace::makeCaptureMeta(def, opt);
+    return t;
+}
+
+TEST(DeferredImage, ReplayProgramEqualsFullBuildProgram)
+{
+    for (const WorkloadDef &def : allWorkloads()) {
+        for (const double scale : {1.0, 8.0}) {
+            for (const bool fix : {false, true}) {
+                if (fix && !def.info.hasManualFix)
+                    continue;
+                const trace::Trace t = emptyCapture(def, scale, fix);
+                const trace::TraceReplayer env(t);
+                ASSERT_TRUE(env.ok()) << env.error();
+                const WorkloadBuild full = def.build(t.meta.build);
+                expectSamePrograms(env.program(), full.program,
+                                   def.info.name + " scale " +
+                                       std::to_string(scale) +
+                                       (fix ? " fixed" : ""));
+            }
+        }
+    }
+}
+
+/**
+ * FNV-1a over the image as (address, size, value) records: the build's
+ * records, then the deferred image as the 8-byte words and byte-wise
+ * tail applyTo() writes. @p records counts them.
+ */
+std::uint64_t
+imageDigest(WorkloadBuild &build, std::size_t *records)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](std::uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    };
+    auto record = [&](std::uint64_t addr, std::uint8_t size,
+                      std::uint64_t value) {
+        mix(addr, 8);
+        mix(size, 1);
+        mix(value, 8);
+        ++*records;
+    };
+    *records = 0;
+    for (const WorkloadBuild::MemInit &mi : build.inits())
+        record(mi.addr, mi.size, mi.value);
+    const WorkloadBuild::Image &img = build.image();
+    std::size_t i = 0;
+    for (; i + 8 <= img.bytes.size(); i += 8) {
+        std::uint64_t word = 0;
+        for (int b = 0; b < 8; ++b)
+            word |= std::uint64_t(img.bytes[i + b]) << (8 * b);
+        record(img.base + i, 8, word);
+    }
+    for (; i < img.bytes.size(); ++i)
+        record(img.base + i, 1, img.bytes[i]);
+    return h;
+}
+
+TEST(DeferredImage, HistogramImagesAreFrozen)
+{
+    // Digests of the image as the build recorded it before it was
+    // deferred (one init64 per 8 pixels, then init8s): the same writes,
+    // in the same order, at both scales.
+    struct Golden
+    {
+        const char *workload;
+        double scale;
+        std::size_t records;
+        std::uint64_t digest;
+    };
+    for (const Golden &g : {
+             Golden{"histogram", 1.0, 13000, 0x59327a203d4e18eeull},
+             Golden{"histogram", 8.0, 104000, 0x780d825e72afa664ull},
+             Golden{"histogram'", 1.0, 13000, 0x34264ce25f07532bull},
+             Golden{"histogram'", 8.0, 104000, 0x2e58220ff7ce79bbull},
+         }) {
+        BuildOptions opt;
+        opt.scale = g.scale;
+        WorkloadBuild build = findWorkload(g.workload)->build(opt);
+        std::size_t records = 0;
+        EXPECT_EQ(imageDigest(build, &records), g.digest)
+            << g.workload << " scale " << g.scale;
+        EXPECT_EQ(records, g.records) << g.workload << " scale " << g.scale;
+        // A second read returns the kept image, not a second draw.
+        EXPECT_EQ(imageDigest(build, &records), g.digest)
+            << g.workload << " scale " << g.scale;
+    }
+}
+
+TEST(DeferredImage, ReplayEnvironmentSynthesizesNoImage)
+{
+    const WorkloadDef &def = *findWorkload("histogram'");
+    const trace::Trace t = emptyCapture(def, 8.0, false);
+    const std::uint64_t before = imagesSynthesized();
+    const trace::TraceReplayer env(t);
+    ASSERT_TRUE(env.ok()) << env.error();
+    EXPECT_EQ(imagesSynthesized(), before);
+
+    // A build that is applied synthesizes its image once, however often
+    // it is applied.
+    WorkloadBuild build = def.build(t.meta.build);
+    EXPECT_EQ(imagesSynthesized(), before);
+    sim::Machine a(build.program);
+    build.applyTo(a);
+    sim::Machine b(build.program);
+    build.applyTo(b);
+    EXPECT_EQ(imagesSynthesized(), before + 1);
+}
+
+TEST(DeferredImage, RepairedRerunReusesTheImage)
+{
+    // histogram' is repaired, so runLaser runs it twice from one image.
+    core::ExperimentRunner runner;
+    const std::uint64_t before = imagesSynthesized();
+    const core::RunResult r =
+        runner.run(*findWorkload("histogram'"), core::Scheme::Laser, 0.25);
+    ASSERT_TRUE(r.repairApplied) << r.plan.reason;
+    EXPECT_EQ(imagesSynthesized(), before + 1);
 }
 
 } // namespace

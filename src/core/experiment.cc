@@ -60,6 +60,18 @@ ExperimentRunner::makeOptions(double scale, bool manual_fix,
     return opt;
 }
 
+sim::MachineConfig
+ExperimentRunner::machineConfig() const
+{
+    sim::MachineConfig mc;
+    mc.numCores = cfg_.numThreads;
+    mc.timing = cfg_.timing;
+    mc.protocol = cfg_.protocol;
+    mc.geometry = cfg_.geometry;
+    mc.seed = cfg_.machineSeed;
+    return mc;
+}
+
 RunResult
 ExperimentRunner::run(const workloads::WorkloadDef &workload,
                       Scheme scheme, double scale)
@@ -92,13 +104,7 @@ ExperimentRunner::runNative(const workloads::WorkloadDef &w, double scale,
 
     workloads::WorkloadBuild build =
         w.build(makeOptions(scale, manual_fix, 0));
-    sim::MachineConfig mc;
-    mc.numCores = cfg_.numThreads;
-    mc.timing = cfg_.timing;
-    mc.protocol = cfg_.protocol;
-    mc.geometry = cfg_.geometry;
-    mc.seed = cfg_.machineSeed;
-    sim::Machine machine(std::move(build.program), mc);
+    sim::Machine machine(std::move(build.program), machineConfig());
     build.applyTo(machine);
     result.stats = machine.run();
     result.runtimeCycles = result.stats.cycles;
@@ -116,12 +122,7 @@ ExperimentRunner::runLaser(const workloads::WorkloadDef &w, double scale,
     // shifts the heap layout (Section 7.4.2).
     workloads::WorkloadBuild build =
         w.build(makeOptions(scale, false, cfg_.laserHeapShift));
-    sim::MachineConfig mc;
-    mc.numCores = cfg_.numThreads;
-    mc.timing = cfg_.timing;
-    mc.protocol = cfg_.protocol;
-    mc.geometry = cfg_.geometry;
-    mc.seed = cfg_.machineSeed;
+    const sim::MachineConfig mc = machineConfig();
     sim::Machine machine(std::move(build.program), mc);
     build.applyTo(machine);
 
@@ -193,13 +194,7 @@ ExperimentRunner::runVTune(const workloads::WorkloadDef &w, double scale)
     result.scheme = Scheme::VTune;
 
     workloads::WorkloadBuild build = w.build(makeOptions(scale, false, 0));
-    sim::MachineConfig mc;
-    mc.numCores = cfg_.numThreads;
-    mc.timing = cfg_.timing;
-    mc.protocol = cfg_.protocol;
-    mc.geometry = cfg_.geometry;
-    mc.seed = cfg_.machineSeed;
-    sim::Machine machine(std::move(build.program), mc);
+    sim::Machine machine(std::move(build.program), machineConfig());
     build.applyTo(machine);
 
     baselines::VTuneModel vtune(machine.program(), machine.addressSpace(),
@@ -238,12 +233,7 @@ ExperimentRunner::runSheriff(const workloads::WorkloadDef &w,
     }
 
     workloads::WorkloadBuild build = w.build(makeOptions(scale, false, 0));
-    sim::MachineConfig mc;
-    mc.numCores = cfg_.numThreads;
-    mc.timing = cfg_.timing;
-    mc.protocol = cfg_.protocol;
-    mc.geometry = cfg_.geometry;
-    mc.seed = cfg_.machineSeed;
+    sim::MachineConfig mc = machineConfig();
     mc.threadsAsProcesses = true;
     mc.trackDirtyPages = true;
     sim::Machine machine(std::move(build.program), mc);

@@ -134,6 +134,10 @@ class ExperimentRunner
     makeOptions(double scale, bool manual_fix,
                 std::uint64_t heap_shift) const;
 
+    /** The machine every scheme runs on: cores, timing, protocol,
+     *  geometry and seed from the config. */
+    sim::MachineConfig machineConfig() const;
+
     ExperimentConfig cfg_;
 };
 

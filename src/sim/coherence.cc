@@ -4,21 +4,6 @@
 
 namespace laser::sim {
 
-const char *
-accessOutcomeName(AccessOutcome outcome)
-{
-    switch (outcome) {
-      case AccessOutcome::L1Hit:     return "l1-hit";
-      case AccessOutcome::LlcHit:    return "llc-hit";
-      case AccessOutcome::MemMiss:   return "mem-miss";
-      case AccessOutcome::HitmLoad:  return "hitm-load";
-      case AccessOutcome::HitmStore: return "hitm-store";
-      case AccessOutcome::Upgrade:   return "upgrade";
-      case AccessOutcome::RfoShared: return "rfo-shared";
-    }
-    return "???";
-}
-
 AccessOutcome
 CoherenceDirectory::access(int core, std::uint64_t addr, bool is_write,
                            bool is_load_class)

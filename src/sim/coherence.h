@@ -14,9 +14,10 @@
  * memory miss; everything after is classified by MESI state.
  *
  * The machine now runs protocol backends behind sim::CoherenceProtocol
- * (protocol.h); CoherenceDirectory is retained as the fixed pre-refactor
- * reference implementation that test_protocol fuzzes MesiDirectory
- * against, outcome for outcome.
+ * (protocol.h), which also defines AccessOutcome; CoherenceDirectory is
+ * retained as the fixed pre-refactor reference implementation that
+ * test_protocol fuzzes MesiDirectory against, outcome for outcome. No
+ * simulator source includes this header.
  */
 
 #ifndef LASER_SIM_COHERENCE_H
@@ -26,34 +27,9 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "sim/protocol.h"
+
 namespace laser::sim {
-
-/** Classification of one memory access by the coherence protocol. */
-enum class AccessOutcome : std::uint8_t {
-    L1Hit,     ///< line valid locally in a sufficient state
-    LlcHit,    ///< read served by LLC / a clean remote copy
-    MemMiss,   ///< first touch, served by memory
-    HitmLoad,  ///< HITM: remote-M line, access has a load uop (Fig. 1a)
-    HitmStore, ///< HITM: remote-M line, pure store (Fig. 1c)
-    Upgrade,   ///< local S copy upgraded to M (invalidates remote sharers)
-    RfoShared, ///< I->M acquiring a line with remote clean copies
-};
-
-/** Number of AccessOutcome values (for per-outcome tables). */
-inline constexpr std::size_t kAccessOutcomeCount = 7;
-static_assert(static_cast<std::size_t>(AccessOutcome::RfoShared) + 1 ==
-              kAccessOutcomeCount);
-
-/** Printable name for an access outcome. */
-const char *accessOutcomeName(AccessOutcome outcome);
-
-/** True for the two HITM outcomes. */
-constexpr bool
-isHitm(AccessOutcome outcome)
-{
-    return outcome == AccessOutcome::HitmLoad ||
-           outcome == AccessOutcome::HitmStore;
-}
 
 /**
  * Directory-based MESI model, one entry per touched line.

@@ -6,7 +6,7 @@
  * LASER's whole detection signal is the HITM event, so the robustness
  * question "does accuracy hold under a different coherence fabric?"
  * requires the fabric to be swappable. A CoherenceProtocol classifies
- * every memory access into an AccessOutcome (sim/coherence.h); the
+ * every memory access into an AccessOutcome (below); the
  * machine charges latency from the outcome and raises HITM events for
  * the two HITM outcomes. Two backends are provided:
  *
@@ -26,13 +26,36 @@
 #ifndef LASER_SIM_PROTOCOL_H
 #define LASER_SIM_PROTOCOL_H
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 
-#include "sim/coherence.h"
-
 namespace laser::sim {
+
+/** Classification of one memory access by the coherence protocol. */
+enum class AccessOutcome : std::uint8_t {
+    L1Hit,     ///< line valid locally in a sufficient state
+    LlcHit,    ///< read served by LLC / a clean remote copy
+    MemMiss,   ///< first touch, served by memory
+    HitmLoad,  ///< HITM: remote-M line, access has a load uop (Fig. 1a)
+    HitmStore, ///< HITM: remote-M line, pure store (Fig. 1c)
+    Upgrade,   ///< local S copy upgraded to M (invalidates remote sharers)
+    RfoShared, ///< I->M acquiring a line with remote clean copies
+};
+
+/** Number of AccessOutcome values (for per-outcome tables). */
+inline constexpr std::size_t kAccessOutcomeCount = 7;
+static_assert(static_cast<std::size_t>(AccessOutcome::RfoShared) + 1 ==
+              kAccessOutcomeCount);
+
+/** True for the two HITM outcomes. */
+constexpr bool
+isHitm(AccessOutcome outcome)
+{
+    return outcome == AccessOutcome::HitmLoad ||
+           outcome == AccessOutcome::HitmStore;
+}
 
 /** Selectable coherence backend. */
 enum class ProtocolKind : std::uint8_t {

@@ -12,6 +12,7 @@
 #ifndef LASER_ISA_TYPES_H
 #define LASER_ISA_TYPES_H
 
+#include <cstddef>
 #include <cstdint>
 
 namespace laser::isa {
@@ -77,6 +78,13 @@ enum class Op : std::uint8_t {
     SsbFlush,   ///< flush the software store buffer (inserted by repair)
     AliasCheck, ///< check mem[src1+imm] against SSB (inserted by repair)
 };
+
+/**
+ * Number of opcodes. Tables indexed by Op (the interpreter's dispatch
+ * table) static_assert their size against it, so a new op goes before
+ * AliasCheck or moves this bound to the new last op.
+ */
+constexpr std::size_t kNumOps = static_cast<std::size_t>(Op::AliasCheck) + 1;
 
 /**
  * Marks instructions emitted as part of a synchronization operation so the

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace laser::sim {
 
@@ -9,55 +11,49 @@ using isa::Instruction;
 using isa::Op;
 using isa::SyncKind;
 
+#if !defined(__GNUC__)
+#error "Machine::runSlice dispatches through GCC/Clang labels-as-values"
+#endif
+
 namespace {
 
 /**
- * True for ops that read and write only their own thread's registers,
- * pc, clock and halted flag, and so commute with anything another
- * thread does. Every other op is shared: it may touch the coherence
- * protocol, memory, the PMU sink, the TSO trace or the SSB flush path.
- * An op missing from this list is treated as shared, which is always
- * safe.
+ * Return @p prog if it is safe to interpret, else throw: it must be
+ * structurally valid, and no instruction may fall through past the last
+ * one. Branch targets are checked here; register-indirect jumps are
+ * checked when they execute.
  */
-constexpr bool
-threadLocal(Op op)
+isa::Program
+loadable(isa::Program prog)
 {
-    switch (op) {
-      case Op::Nop:
-      case Op::Halt:
-      case Op::MovImm:
-      case Op::MovReg:
-      case Op::Add:
-      case Op::AddImm:
-      case Op::Sub:
-      case Op::SubImm:
-      case Op::Mul:
-      case Op::MulImm:
-      case Op::And:
-      case Op::Or:
-      case Op::Xor:
-      case Op::ShlImm:
-      case Op::ShrImm:
-      case Op::Jmp:
-      case Op::JmpReg:
-      case Op::Call:
-      case Op::Ret:
-      case Op::Beq:
-      case Op::Bne:
-      case Op::Blt:
-      case Op::Bge:
-      case Op::Pause:
-      case Op::Tid:
-        return true;
-      default:
-        return false;
+    const std::string err = prog.validate();
+    if (!err.empty())
+        throw std::invalid_argument("program " + prog.name + ": " + err);
+    const Op last = prog.code.back().op;
+    if (last != Op::Halt && last != Op::Jmp && last != Op::JmpReg &&
+            last != Op::Ret) {
+        throw std::invalid_argument(
+            "program " + prog.name + ": last instruction (" +
+            isa::opName(last) + ") falls through past the end of the code");
     }
+    return prog;
+}
+
+/** A JmpReg or Ret left the code; never returns. */
+[[noreturn]] void
+badJump(int tid, std::uint32_t pc, std::uint64_t dest, std::size_t size)
+{
+    throw std::runtime_error(
+        "thread " + std::to_string(tid) + ": indirect jump at pc " +
+        std::to_string(pc) + " to " + std::to_string(dest) +
+        ", past the end of the code (" + std::to_string(size) +
+        " instructions)");
 }
 
 } // namespace
 
 Machine::Machine(isa::Program prog, MachineConfig cfg)
-    : prog_(std::move(prog)),
+    : prog_(loadable(std::move(prog))),
       cfg_(cfg),
       space_(prog_, cfg.numCores),
       heap_(mem::Layout::kHeapBase, mem::Layout::kHeapSize),
@@ -250,83 +246,16 @@ Machine::syncComplete(ThreadCtx &t, SyncKind kind)
 }
 
 void
-Machine::execute(ThreadCtx &t)
+Machine::executeShared(ThreadCtx &t)
 {
     const Instruction &insn = prog_.code[t.pc];
     const TimingModel &tm = cfg_.timing;
     std::uint64_t cost = tm.base;
-    std::uint32_t next = t.pc + 1;
     auto regU = [&](isa::Reg r) {
         return static_cast<std::uint64_t>(t.regs[r]);
     };
 
     switch (insn.op) {
-      case Op::Nop:
-        break;
-      case Op::Halt:
-        t.halted = true;
-        break;
-      case Op::MovImm:
-        setReg(t, insn.dst, insn.imm);
-        break;
-      case Op::MovReg:
-        setReg(t, insn.dst, t.regs[insn.src1]);
-        break;
-      // ALU arithmetic wraps modulo 2^64 like the hardware it models;
-      // compute unsigned to keep overflow defined.
-      case Op::Add:
-        setReg(t, insn.dst,
-               static_cast<std::int64_t>(regU(insn.src1) +
-                                         regU(insn.src2)));
-        break;
-      case Op::AddImm:
-        setReg(t, insn.dst,
-               static_cast<std::int64_t>(
-                   regU(insn.src1) +
-                   static_cast<std::uint64_t>(insn.imm)));
-        break;
-      case Op::Sub:
-        setReg(t, insn.dst,
-               static_cast<std::int64_t>(regU(insn.src1) -
-                                         regU(insn.src2)));
-        break;
-      case Op::SubImm:
-        setReg(t, insn.dst,
-               static_cast<std::int64_t>(
-                   regU(insn.src1) -
-                   static_cast<std::uint64_t>(insn.imm)));
-        break;
-      case Op::Mul:
-        setReg(t, insn.dst,
-               static_cast<std::int64_t>(regU(insn.src1) *
-                                         regU(insn.src2)));
-        cost += 2; // multiply latency
-        break;
-      case Op::MulImm:
-        setReg(t, insn.dst,
-               static_cast<std::int64_t>(
-                   regU(insn.src1) *
-                   static_cast<std::uint64_t>(insn.imm)));
-        cost += 2;
-        break;
-      case Op::And:
-        setReg(t, insn.dst, t.regs[insn.src1] & t.regs[insn.src2]);
-        break;
-      case Op::Or:
-        setReg(t, insn.dst, t.regs[insn.src1] | t.regs[insn.src2]);
-        break;
-      case Op::Xor:
-        setReg(t, insn.dst, t.regs[insn.src1] ^ t.regs[insn.src2]);
-        break;
-      case Op::ShlImm:
-        setReg(t, insn.dst,
-               static_cast<std::int64_t>(regU(insn.src1) << insn.imm));
-        break;
-      case Op::ShrImm:
-        setReg(t, insn.dst,
-               static_cast<std::int64_t>(regU(insn.src1) >> insn.imm));
-        break;
-
       case Op::Load: {
         const std::uint64_t addr = regU(insn.src1) + insn.imm;
         std::uint64_t value = 0;
@@ -452,41 +381,6 @@ Machine::execute(ThreadCtx &t)
         cost += flushSsb(t);
         break;
 
-      case Op::Jmp:
-        next = static_cast<std::uint32_t>(insn.target);
-        break;
-      case Op::JmpReg:
-      case Op::Ret:
-        next = static_cast<std::uint32_t>(regU(insn.src1));
-        break;
-      case Op::Call:
-        setReg(t, insn.dst, t.pc + 1);
-        next = static_cast<std::uint32_t>(insn.target);
-        break;
-      case Op::Beq:
-        if (t.regs[insn.src1] == t.regs[insn.src2])
-            next = static_cast<std::uint32_t>(insn.target);
-        break;
-      case Op::Bne:
-        if (t.regs[insn.src1] != t.regs[insn.src2])
-            next = static_cast<std::uint32_t>(insn.target);
-        break;
-      case Op::Blt:
-        if (t.regs[insn.src1] < t.regs[insn.src2])
-            next = static_cast<std::uint32_t>(insn.target);
-        break;
-      case Op::Bge:
-        if (t.regs[insn.src1] >= t.regs[insn.src2])
-            next = static_cast<std::uint32_t>(insn.target);
-        break;
-
-      case Op::Pause:
-        cost += tm.pauseCost;
-        break;
-      case Op::Tid:
-        setReg(t, insn.dst, t.tid);
-        break;
-
       case Op::SsbFlush:
         cost += flushSsb(t);
         break;
@@ -503,12 +397,220 @@ Machine::execute(ThreadCtx &t)
         }
         break;
       }
+
+      default:
+        throw std::logic_error(std::string("thread-local op ") +
+                               isa::opName(insn.op) +
+                               " routed to executeShared");
     }
 
-    t.pc = next;
+    ++t.pc;
     t.clock += cost;
-    ++t.instructions;
-    ++stats_.instructions;
+}
+
+void
+Machine::runSlice(ThreadCtx &t, const ThreadCtx *rival)
+{
+    // One handler per Op, in enum order: each thread-local op has its
+    // own, every shared op goes to `shared`.
+    static const void *const kDispatch[] = {
+        &&nop,      // Nop
+        &&halt,     // Halt
+        &&movImm,   // MovImm
+        &&movReg,   // MovReg
+        &&add,      // Add
+        &&addImm,   // AddImm
+        &&sub,      // Sub
+        &&subImm,   // SubImm
+        &&mul,      // Mul
+        &&mulImm,   // MulImm
+        &&andOp,    // And
+        &&orOp,     // Or
+        &&xorOp,    // Xor
+        &&shlImm,   // ShlImm
+        &&shrImm,   // ShrImm
+        &&shared,   // Load
+        &&shared,   // Store
+        &&shared,   // AddMem
+        &&shared,   // Cas
+        &&shared,   // FetchAdd
+        &&shared,   // Fence
+        &&jmp,      // Jmp
+        &&jmpReg,   // JmpReg
+        &&call,     // Call
+        &&jmpReg,   // Ret
+        &&beq,      // Beq
+        &&bne,      // Bne
+        &&blt,      // Blt
+        &&bge,      // Bge
+        &&pause,    // Pause
+        &&tid,      // Tid
+        &&shared,   // SsbFlush
+        &&shared,   // AliasCheck
+    };
+    static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) == isa::kNumOps,
+                  "kDispatch needs exactly one handler per isa::Op");
+
+    const Instruction *const code = prog_.code.data();
+    const std::size_t code_size = prog_.code.size();
+    const std::uint64_t base = cfg_.timing.base;
+    std::array<std::int64_t, isa::kNumRegs> &regs = t.regs;
+    // run() only calls with budget left, so at least one instruction
+    // runs.
+    const std::uint64_t budget = cfg_.maxInstructions - stats_.instructions;
+    // t may run a shared op while its (clock, tid) stays below the
+    // rival's, i.e. while clock <= last. The rival's clock cannot move
+    // while t runs. t starts below the rival (run() picks the lowest
+    // pair), so the slice's first instruction always qualifies, and
+    // last cannot underflow: t.tid > rival->tid implies t.clock <
+    // rival->clock.
+    std::uint64_t last = std::numeric_limits<std::uint64_t>::max();
+    if (rival)
+        last = t.tid < rival->tid ? rival->clock : rival->clock - 1;
+
+    std::uint32_t pc = t.pc;
+    std::uint64_t clock = t.clock;
+    std::uint64_t n = 0;
+    const Instruction *insn = &code[pc];
+    auto regU = [&](isa::Reg r) { return static_cast<std::uint64_t>(regs[r]); };
+    // Thread-local writes skip setReg's branch: write, then re-zero r0.
+    auto set = [&](std::int64_t v) {
+        regs[insn->dst] = v;
+        regs[isa::R0] = 0;
+    };
+
+// Retire the current instruction (pc is already its successor), stop at
+// the instruction budget, else fetch and jump to the next handler.
+#define LASER_DISPATCH()                                                   \
+    do {                                                                   \
+        if (++n == budget)                                                 \
+            goto done;                                                     \
+        insn = &code[pc];                                                  \
+        goto *kDispatch[static_cast<std::size_t>(insn->op)];               \
+    } while (0)
+#define LASER_NEXT(cost)                                                   \
+    do {                                                                   \
+        ++pc;                                                              \
+        clock += (cost);                                                   \
+        LASER_DISPATCH();                                                  \
+    } while (0)
+
+    goto *kDispatch[static_cast<std::size_t>(insn->op)];
+
+nop:
+    LASER_NEXT(base);
+halt:
+    t.halted = true;
+    ++pc;
+    clock += base;
+    ++n;
+    goto done;
+movImm:
+    set(insn->imm);
+    LASER_NEXT(base);
+movReg:
+    set(regs[insn->src1]);
+    LASER_NEXT(base);
+// ALU arithmetic wraps modulo 2^64 like the hardware it models; compute
+// unsigned to keep overflow defined.
+add:
+    set(static_cast<std::int64_t>(regU(insn->src1) + regU(insn->src2)));
+    LASER_NEXT(base);
+addImm:
+    set(static_cast<std::int64_t>(regU(insn->src1) +
+                                  static_cast<std::uint64_t>(insn->imm)));
+    LASER_NEXT(base);
+sub:
+    set(static_cast<std::int64_t>(regU(insn->src1) - regU(insn->src2)));
+    LASER_NEXT(base);
+subImm:
+    set(static_cast<std::int64_t>(regU(insn->src1) -
+                                  static_cast<std::uint64_t>(insn->imm)));
+    LASER_NEXT(base);
+mul:
+    set(static_cast<std::int64_t>(regU(insn->src1) * regU(insn->src2)));
+    LASER_NEXT(base + 2); // multiply latency
+mulImm:
+    set(static_cast<std::int64_t>(regU(insn->src1) *
+                                  static_cast<std::uint64_t>(insn->imm)));
+    LASER_NEXT(base + 2);
+andOp:
+    set(regs[insn->src1] & regs[insn->src2]);
+    LASER_NEXT(base);
+orOp:
+    set(regs[insn->src1] | regs[insn->src2]);
+    LASER_NEXT(base);
+xorOp:
+    set(regs[insn->src1] ^ regs[insn->src2]);
+    LASER_NEXT(base);
+shlImm:
+    set(static_cast<std::int64_t>(regU(insn->src1) << insn->imm));
+    LASER_NEXT(base);
+shrImm:
+    set(static_cast<std::int64_t>(regU(insn->src1) >> insn->imm));
+    LASER_NEXT(base);
+pause:
+    LASER_NEXT(base + cfg_.timing.pauseCost);
+tid:
+    set(t.tid);
+    LASER_NEXT(base);
+
+jmp:
+    pc = static_cast<std::uint32_t>(insn->target);
+    clock += base;
+    LASER_DISPATCH();
+jmpReg: { // JmpReg and Ret
+    const std::uint64_t dest = regU(insn->src1);
+    if (dest >= code_size) [[unlikely]]
+        badJump(t.tid, pc, dest, code_size);
+    pc = static_cast<std::uint32_t>(dest);
+    clock += base;
+    LASER_DISPATCH();
+}
+call:
+    set(pc + 1);
+    pc = static_cast<std::uint32_t>(insn->target);
+    clock += base;
+    LASER_DISPATCH();
+beq:
+    pc = regs[insn->src1] == regs[insn->src2]
+             ? static_cast<std::uint32_t>(insn->target) : pc + 1;
+    clock += base;
+    LASER_DISPATCH();
+bne:
+    pc = regs[insn->src1] != regs[insn->src2]
+             ? static_cast<std::uint32_t>(insn->target) : pc + 1;
+    clock += base;
+    LASER_DISPATCH();
+blt:
+    pc = regs[insn->src1] < regs[insn->src2]
+             ? static_cast<std::uint32_t>(insn->target) : pc + 1;
+    clock += base;
+    LASER_DISPATCH();
+bge:
+    pc = regs[insn->src1] >= regs[insn->src2]
+             ? static_cast<std::uint32_t>(insn->target) : pc + 1;
+    clock += base;
+    LASER_DISPATCH();
+
+shared:
+    if (clock > last)
+        goto done;
+    t.pc = pc;
+    t.clock = clock;
+    executeShared(t);
+    pc = t.pc;
+    clock = t.clock;
+    LASER_DISPATCH();
+
+#undef LASER_NEXT
+#undef LASER_DISPATCH
+
+done:
+    t.pc = pc;
+    t.clock = clock;
+    t.instructions += n;
+    stats_.instructions += n;
 }
 
 MachineStats
@@ -518,11 +620,8 @@ Machine::run()
         return stats_;
     ran_ = true;
 
-    // Pick the runnable thread with the lowest (clock, tid) and keep
-    // running it while its next instruction is thread-local or it is
-    // still ahead of the runner-up, whose clock cannot move meanwhile.
-    // Every shared instruction therefore executes exactly when a
-    // one-instruction-at-a-time lowest-clock scheduler would run it.
+    // Run the runnable thread with the lowest (clock, tid) for one slice
+    // against the runner-up; see the scheduling notes in machine.h.
     while (stats_.instructions < cfg_.maxInstructions) {
         ThreadCtx *best = nullptr;
         ThreadCtx *rival = nullptr;
@@ -538,17 +637,7 @@ Machine::run()
         }
         if (!best)
             break;
-        // The scan above breaks clock ties toward the lower tid (tid
-        // order, strict <); ahead() applies the same (clock, tid) order.
-        const auto ahead = [&] {
-            return !rival || best->clock < rival->clock ||
-                   (best->clock == rival->clock && best->tid < rival->tid);
-        };
-        do {
-            execute(*best);
-        } while (!best->halted &&
-                 stats_.instructions < cfg_.maxInstructions &&
-                 (threadLocal(prog_.code[best->pc].op) || ahead()));
+        runSlice(*best, rival);
     }
 
     if (stats_.instructions >= cfg_.maxInstructions)

@@ -15,16 +15,33 @@
  * Instructions are either shared or thread-local. Shared ones (Load,
  * Store, AddMem, Cas, FetchAdd, Fence, SsbFlush, AliasCheck) may touch
  * the coherence protocol, memory, the PMU sink, the TSO trace or the
- * SSB flush path. Thread-local ones (ALU ops, branches, Tid, Pause,
- * Halt) change only their own thread's registers, pc and clock, so
- * they commute with everything other threads do. The scheduler
- * therefore keeps running the lowest-clock thread while its next
- * instruction is thread-local, even past the runner-up's clock, and
- * switches only at a shared instruction the thread no longer reaches
- * first. Shared instructions run in exactly the order, at exactly the
- * clocks, that one-instruction-at-a-time lowest-clock scheduling gives,
- * so their outcomes, costs, jitter draws and sink callbacks are the
- * same; only the host-side order of thread-local work differs.
+ * SSB flush path. Thread-local ones (ALU ops, branches, Call, Ret,
+ * JmpReg, Tid, Pause, Halt) change only their own thread's registers,
+ * pc and clock, so they commute with everything other threads do.
+ *
+ * run() therefore executes in slices. It picks the runnable thread with
+ * the lowest (clock, tid) and the runner-up (the rival), and runSlice()
+ * runs that thread until it halts, the instruction budget runs out,
+ * or it reaches a shared instruction while its (clock, tid) is no
+ * longer below the rival's. The rival's clock cannot move meanwhile, so
+ * it is read once per slice. Thread-local instructions run even past
+ * the rival's clock. Shared instructions therefore run in exactly the
+ * order, at exactly the clocks, that one-instruction-at-a-time
+ * lowest-clock scheduling gives, so their outcomes, costs, jitter draws
+ * and sink callbacks are the same; only the host-side order of
+ * thread-local work differs.
+ *
+ * Inside a slice, pc, clock and the instruction count live in locals,
+ * and each instruction jumps straight to its op's handler through a
+ * label table with one entry per isa::Op (GCC/Clang labels-as-values;
+ * a static_assert keeps it complete). That table is the only
+ * local/shared classification: thread-local ops are executed inline,
+ * and every shared op is handed to executeShared().
+ *
+ * The constructor rejects a program that fails isa::Program::validate()
+ * or whose last instruction could fall through past the end, and a
+ * JmpReg or Ret to an index past the end throws, so a fetch never
+ * leaves the code.
  */
 
 #ifndef LASER_SIM_MACHINE_H
@@ -138,6 +155,8 @@ struct MachineStats
 
     std::uint64_t hitmTotal() const { return hitmLoads + hitmStores; }
 
+    bool operator==(const MachineStats &) const = default;
+
     /** Represented seconds of this run (after time compression). */
     double seconds() const { return representedSeconds(cycles); }
 };
@@ -146,6 +165,11 @@ struct MachineStats
 class Machine
 {
   public:
+    /**
+     * Load @p prog. Throws std::invalid_argument when it fails
+     * Program::validate() or its last instruction is not Halt, Jmp,
+     * JmpReg or Ret.
+     */
     explicit Machine(isa::Program prog, MachineConfig cfg = {});
 
     Machine(const Machine &) = delete;
@@ -164,7 +188,11 @@ class Machine
     /** Install the PMU observer (PEBS / VTune / Sheriff model). */
     void setPmuSink(PmuSink *sink) { sink_ = sink; }
 
-    /** Run all threads to completion; returns the run statistics. */
+    /**
+     * Run all threads to completion; returns the run statistics. Throws
+     * std::runtime_error when a JmpReg or Ret jumps past the end of the
+     * code.
+     */
     MachineStats run();
 
     /** Register value of thread @p tid after run() (for tests). */
@@ -199,7 +227,15 @@ class Machine
     std::uint64_t syncComplete(ThreadCtx &t, isa::SyncKind kind);
     void traceVisibility(ThreadCtx &t, std::uint64_t min_seq,
                          std::uint64_t max_seq, std::uint64_t count);
-    void execute(ThreadCtx &t);
+    /** Execute the shared instruction at t.pc; advance its pc and clock. */
+    void executeShared(ThreadCtx &t);
+    /**
+     * Run @p t (the lowest runnable (clock, tid)) until it halts, the
+     * instruction budget runs out, or its next instruction is shared and
+     * its (clock, tid) is no longer below @p rival's (null: no other
+     * runnable thread).
+     */
+    void runSlice(ThreadCtx &t, const ThreadCtx *rival);
 
     isa::Program prog_;
     MachineConfig cfg_;

@@ -11,6 +11,8 @@
 #include <map>
 #include <random>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -1013,6 +1015,374 @@ TEST(Machine, HeapPerturbationShiftsAllocations)
     Machine shifted(p, cfg);
     EXPECT_EQ(native.heap().alloc(64) % 64, 16u);
     EXPECT_EQ(shifted.heap().alloc(64) % 64, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Slice interpreter edges: budgets, r0, costs, calls, halts, callbacks
+// ---------------------------------------------------------------------
+
+/** Sink that logs every memop and sync callback, in host order. */
+struct LogSink : PmuSink
+{
+    std::vector<std::string> log;
+    std::uint64_t
+    onMemop(int core, std::uint32_t pc, bool is_write,
+            std::uint64_t cycle) override
+    {
+        log.push_back("memop t" + std::to_string(core) + " pc" +
+                      std::to_string(pc) + (is_write ? " w" : " r") +
+                      " @" + std::to_string(cycle));
+        return 0;
+    }
+    std::uint64_t
+    onSync(int core, isa::SyncKind kind, std::uint64_t,
+           std::uint64_t cycle) override
+    {
+        log.push_back("sync t" + std::to_string(core) + " kind" +
+                      std::to_string(static_cast<int>(kind)) + " @" +
+                      std::to_string(cycle));
+        return 0;
+    }
+};
+
+/**
+ * Four threads that each loop tid + 2 times over a run of thread-local
+ * ops around a store and a load to one shared line, so slices end at
+ * shared ops, at the budget and at Halt.
+ */
+isa::Program
+mixedLocalShared()
+{
+    Asm a("mixed");
+    a.tid(R1);
+    a.movi(R2, 0x1000c00);
+    a.muli(R3, R1, 8);
+    a.add(R2, R2, R3);
+    a.addi(R4, R1, 2);
+    Asm::Label loop = a.here();
+    a.addi(R5, R5, 1);
+    a.mul(R6, R5, R5);
+    a.store(R2, 0, R6, 8);
+    a.load(R7, R2, 0, 8);
+    a.xorr(R8, R8, R7);
+    a.pause();
+    a.subi(R4, R4, 1);
+    a.bne(R4, R0, loop);
+    a.halt();
+    return a.finalize();
+}
+
+TEST(Scheduler, EveryBudgetRunsExactlyThatManyInstructions)
+{
+    LogSink full_log;
+    Machine full(mixedLocalShared());
+    full.setPmuSink(&full_log);
+    const MachineStats all = full.run();
+    ASSERT_FALSE(all.truncated);
+    ASSERT_GT(all.instructions, 50u);
+
+    for (std::uint64_t max = 1; max <= all.instructions; ++max) {
+        MachineConfig cfg;
+        cfg.maxInstructions = max;
+        LogSink sink;
+        Machine m(mixedLocalShared(), cfg);
+        m.setPmuSink(&sink);
+        const MachineStats s = m.run();
+        ASSERT_EQ(s.instructions, max);
+        std::uint64_t per_thread = 0;
+        for (const std::uint64_t n : s.threadInstructions)
+            per_thread += n;
+        ASSERT_EQ(per_thread, max);
+        ASSERT_EQ(s.truncated, true) << max;
+        // Truncation only stops the deterministic run early, so the
+        // shared ops it ran are a prefix of the full run's.
+        ASSERT_LE(sink.log.size(), full_log.log.size());
+        ASSERT_TRUE(std::equal(sink.log.begin(), sink.log.end(),
+                               full_log.log.begin()))
+            << "budget " << max;
+        if (max == all.instructions) {
+            EXPECT_EQ(sink.log, full_log.log);
+            EXPECT_EQ(s.cycles, all.cycles);
+            EXPECT_EQ(s.threadCycles, all.threadCycles);
+        }
+    }
+}
+
+TEST(Machine, LocalOpsNeverWriteRegisterZero)
+{
+    // Every thread-local op that writes a register targets r0, and r9
+    // sums r0 after each: it stays 0 while r0 does.
+    Asm a("r0");
+    a.movi(R2, 7);
+    a.movi(R0, 5);
+    a.add(R9, R9, R0);
+    a.mov(R0, R2);
+    a.add(R9, R9, R0);
+    a.add(R0, R2, R2);
+    a.add(R9, R9, R0);
+    a.addi(R0, R2, 1);
+    a.add(R9, R9, R0);
+    a.sub(R0, R2, R9);
+    a.add(R9, R9, R0);
+    a.subi(R0, R2, 1);
+    a.add(R9, R9, R0);
+    a.mul(R0, R2, R2);
+    a.add(R9, R9, R0);
+    a.muli(R0, R2, 3);
+    a.add(R9, R9, R0);
+    a.andr(R0, R2, R2);
+    a.add(R9, R9, R0);
+    a.orr(R0, R2, R2);
+    a.add(R9, R9, R0);
+    a.xorr(R0, R2, R9);
+    a.add(R9, R9, R0);
+    a.shli(R0, R2, 2);
+    a.add(R9, R9, R0);
+    a.shri(R0, R2, 1);
+    a.add(R9, R9, R0);
+    a.tid(R0); // nonzero on threads 1-3
+    a.add(R9, R9, R0);
+    const std::uint32_t call = a.nop(); // becomes call r0, @call+1
+    a.add(R9, R9, R0);
+    a.halt();
+    isa::Program p = a.finalize();
+    p.code[call].op = Op::Call;
+    p.code[call].dst = R0;
+    p.code[call].target = static_cast<std::int32_t>(call + 1);
+
+    Machine m(p);
+    const MachineStats s = m.run();
+    EXPECT_FALSE(s.truncated);
+    for (int t = 0; t < 4; ++t) {
+        EXPECT_EQ(m.reg(t, R0), 0) << "thread " << t;
+        EXPECT_EQ(m.reg(t, R9), 0) << "thread " << t;
+    }
+}
+
+TEST(Machine, MultiplyAndPauseCostsReachThreadCycles)
+{
+    isa::Program p = tidGate([](Asm &a) {
+        a.mul(R4, R2, R3);
+        a.muli(R5, R2, 3);
+        a.pause();
+    });
+    Machine m(p);
+    const MachineStats s = m.run();
+    const TimingModel tm{};
+    // tid, bne, mul, muli, pause, halt.
+    EXPECT_EQ(s.threadCycles[0], 6 * tm.base + 2 * 2 + tm.pauseCost);
+    EXPECT_EQ(s.threadInstructions[0], 6u);
+    for (int t = 1; t < 4; ++t)
+        EXPECT_EQ(s.threadCycles[t], 3 * tm.base); // tid, bne, halt
+    EXPECT_EQ(s.cycles, s.threadCycles[0]);
+}
+
+TEST(Machine, CallRetAndJmpRegInsideALocalRun)
+{
+    Asm a("calls");
+    const std::uint32_t call = a.nop();   // call r14, @sub
+    a.addi(R2, R2, 100);
+    const std::uint32_t mov = a.movi(R3, 0); // r3 <- index of `over`
+    const std::uint32_t jmp = a.nop();    // jmpreg r3
+    a.movi(R2, 999);                      // skipped
+    const std::uint32_t over = a.addi(R2, R2, 1000);
+    a.halt();
+    const std::uint32_t sub = a.addi(R2, R2, 1);
+    const std::uint32_t ret = a.nop();    // ret r14
+    isa::Program p = a.finalize();
+    p.code[call].op = Op::Call;
+    p.code[call].dst = R14;
+    p.code[call].target = static_cast<std::int32_t>(sub);
+    p.code[mov].imm = over;
+    p.code[jmp].op = Op::JmpReg;
+    p.code[jmp].src1 = R3;
+    p.code[ret].op = Op::Ret;
+    p.code[ret].src1 = R14;
+
+    Machine m(p);
+    const MachineStats s = m.run();
+    EXPECT_FALSE(s.truncated);
+    for (int t = 0; t < 4; ++t) {
+        EXPECT_EQ(m.reg(t, R2), 1101) << "thread " << t;
+        EXPECT_EQ(m.reg(t, R14), static_cast<std::int64_t>(call + 1));
+        // call, sub, ret, addi, movi, jmpreg, over, halt.
+        EXPECT_EQ(s.threadInstructions[t], 8u);
+        EXPECT_EQ(s.threadCycles[t], 8 * TimingModel{}.base);
+    }
+}
+
+TEST(Scheduler, HaltMidSliceStopsOnlyItsThread)
+{
+    // Thread 0 halts in the middle of its first slice; the others keep
+    // looping over a contended line to completion.
+    Asm a("halt-mid");
+    Asm::Label work = a.newLabel();
+    a.tid(R1);
+    a.bne(R1, R0, work);
+    a.movi(R2, 1);
+    a.halt();
+    a.movi(R2, 2); // never reached
+    a.bind(work);
+    a.movi(R2, 0x1000d00);
+    a.movi(R4, 20);
+    Asm::Label loop = a.here();
+    a.addmem(R2, 0, R1, 8);
+    a.addi(R5, R5, 1);
+    a.subi(R4, R4, 1);
+    a.bne(R4, R0, loop);
+    a.halt();
+    Machine m(a.finalize());
+    const MachineStats s = m.run();
+    EXPECT_FALSE(s.truncated);
+    EXPECT_EQ(s.threadInstructions[0], 4u);
+    EXPECT_EQ(m.reg(0, R2), 1);
+    for (int t = 1; t < 4; ++t) {
+        EXPECT_EQ(m.reg(t, R5), 20) << "thread " << t;
+        // tid, bne, movi, movi, 20 x 4 loop ops, halt.
+        EXPECT_EQ(s.threadInstructions[t], 85u) << "thread " << t;
+    }
+    EXPECT_EQ(m.memory().read(0x1000d00, 8), 20u * (1 + 2 + 3));
+}
+
+TEST(Machine, LockReleaseStoreAndSsbLoadRaiseSinkCallbacks)
+{
+    Asm a("sink");
+    Asm::Label done = a.newLabel();
+    a.tid(R1);
+    a.bne(R1, R0, done);
+    a.movi(R2, 0x1000e00);
+    a.movi(R3, 1);
+    const std::uint32_t rel = a.store(R2, 0, R3, 8);
+    a.markSync(rel, isa::SyncKind::LockRelease);
+    const std::uint32_t miss = a.load(R4, R2, 8, 8); // SSB miss
+    a.store(R2, 16, R3, 8);                          // buffered
+    const std::uint32_t hit = a.load(R5, R2, 16, 8); // SSB hit
+    const std::uint32_t fence = a.fence();           // flushes the store
+    a.bind(done);
+    a.halt();
+    isa::Program p = a.finalize();
+    markSsb(p, miss, hit);
+
+    MachineConfig cfg;
+    cfg.latencyJitter = false; // exact clocks
+    LogSink sink;
+    Machine m(p, cfg);
+    m.setPmuSink(&sink);
+    const MachineStats s = m.run();
+
+    // Thread 0 reaches the release store after tid, bne and two movi.
+    // The store misses; the load hits the line the store brought in;
+    // the buffered store and the SSB-hit load raise no callback; the
+    // fence's flush writes the buffered line back.
+    const TimingModel tm{};
+    const std::uint64_t rel_at = 4 * tm.base;
+    const std::uint64_t miss_at = rel_at + tm.base + tm.memMiss;
+    const std::uint64_t fence_at =
+        miss_at + (tm.base + tm.ssbLoadCheck + tm.l1Hit) +
+        (tm.base + tm.ssbStore) +
+        (tm.base + tm.ssbLoadCheck + tm.ssbLoadHit);
+    const auto memop = [](std::uint32_t pc, const char *rw,
+                          std::uint64_t cycle) {
+        return "memop t0 pc" + std::to_string(pc) + rw + " @" +
+               std::to_string(cycle);
+    };
+    const std::vector<std::string> expect = {
+        memop(rel, " w", rel_at),
+        "sync t0 kind" +
+            std::to_string(static_cast<int>(isa::SyncKind::LockRelease)) +
+            " @" + std::to_string(rel_at),
+        memop(miss, " r", miss_at),
+        memop(fence, " w", fence_at),
+    };
+    EXPECT_EQ(sink.log, expect);
+    EXPECT_EQ(s.syncOps, 1u);
+    EXPECT_EQ(s.ssbStores, 1u);
+    EXPECT_EQ(s.ssbLoadHits, 1u);
+    EXPECT_EQ(s.ssbFlushes, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Fetch bounds: a fetch never leaves the code
+// ---------------------------------------------------------------------
+
+TEST(Machine, RejectsProgramsThatCanFallOffTheEnd)
+{
+    Asm a("falls");
+    a.movi(R1, 1);
+    a.addi(R1, R1, 1);
+    EXPECT_THROW(Machine m(a.finalize()), std::invalid_argument);
+
+    Asm b("cond");
+    Asm::Label top = b.here();
+    b.movi(R1, 1);
+    b.bne(R1, R0, top); // falls through when not taken
+    EXPECT_THROW(Machine m(b.finalize()), std::invalid_argument);
+
+    for (const Op last : {Op::Halt, Op::Jmp, Op::JmpReg, Op::Ret}) {
+        Asm c("ends");
+        c.movi(R1, 0);
+        const std::uint32_t end = c.halt();
+        isa::Program p = c.finalize();
+        p.code[end].op = last;
+        p.code[end].target = 0;
+        EXPECT_NO_THROW(Machine m(p)) << isa::opName(last);
+    }
+}
+
+TEST(Machine, RejectsProgramsThatFailValidation)
+{
+    Asm a("bad");
+    a.movi(R1, 1);
+    const std::uint32_t jmp = a.halt();
+    isa::Program p = a.finalize();
+    p.code[jmp].op = Op::Jmp;
+    p.code[jmp].target = 99; // past the end
+    EXPECT_THROW(Machine m(p), std::invalid_argument);
+    p.code[jmp].target = 0;
+    p.code[0].dst = isa::kNumRegs; // illegal register
+    EXPECT_THROW(Machine m(p), std::invalid_argument);
+    EXPECT_THROW(Machine m(isa::Program{}), std::invalid_argument);
+}
+
+TEST(Machine, IndirectJumpPastTheEndThrows)
+{
+    for (const Op op : {Op::JmpReg, Op::Ret}) {
+        Asm a("jump");
+        Asm::Label done = a.newLabel();
+        a.tid(R1);
+        a.movi(R9, 2);
+        a.bne(R1, R9, done); // only thread 2 jumps
+        const std::uint32_t mov = a.movi(R3, 0);
+        const std::uint32_t jump = a.nop();
+        a.bind(done);
+        a.halt();
+        isa::Program p = a.finalize();
+        p.code[jump].op = op;
+        p.code[jump].src1 = R3;
+
+        // The last index is in range; one past it is not, nor is an
+        // index that only wraps into range as a 32-bit pc.
+        p.code[mov].imm = static_cast<std::int64_t>(p.size() - 1);
+        Machine ok(p);
+        EXPECT_FALSE(ok.run().truncated) << isa::opName(op);
+        for (const std::int64_t dest :
+             {static_cast<std::int64_t>(p.size()), std::int64_t{-1},
+              std::int64_t{1} << 32}) {
+            p.code[mov].imm = dest;
+            Machine m(p);
+            try {
+                m.run();
+                ADD_FAILURE() << isa::opName(op) << " to " << dest
+                              << " did not throw";
+            } catch (const std::runtime_error &e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find("thread 2"), std::string::npos) << what;
+                EXPECT_NE(what.find("pc " + std::to_string(jump)),
+                          std::string::npos)
+                    << what;
+            }
+        }
+    }
 }
 
 } // namespace

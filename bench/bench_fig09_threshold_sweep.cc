@@ -37,7 +37,8 @@ shardedReplayDemo(core::SweepRunner &runner,
 {
     std::shared_ptr<const trace::Trace> biggest;
     for (const auto *def : defs) {
-        auto t = runner.capture(*def, {}); // cache-served by the sweep
+        // A memory hit on the sweep's captureFile() slot, decoded.
+        auto t = runner.capture(*def, {});
         if (!biggest || t->records.size() > biggest->records.size())
             biggest = t;
     }
@@ -138,5 +139,16 @@ main()
         .set("rows", std::move(rows));
     const core::SweepStats stats = runner.stats();
     bench::writeTelemetry(telemetry, &stats);
+
+    // The demo's capture() calls must be served from the sweep's cache:
+    // each workload simulated or loaded from disk exactly once.
+    if (stats.machineRuns + stats.diskCacheHits != defs.size()) {
+        std::fprintf(stderr,
+                     "CACHE VIOLATION: %llu simulations + %llu disk hits "
+                     "for %zu workloads (expected each exactly once)\n",
+                     (unsigned long long)stats.machineRuns,
+                     (unsigned long long)stats.diskCacheHits, defs.size());
+        return 1;
+    }
     return 0;
 }

@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "detect/cacheline_model.h"
+#include "detect/pipeline.h"
 #include "obs/export.h"
-#include "detect/detector.h"
 #include "isa/assembler.h"
 #include "pebs/monitor.h"
 #include "sim/coherence.h"
@@ -119,8 +119,9 @@ BM_DetectorPipeline(benchmark::State &state)
     isa::Program prog = detectorProgram();
     mem::AddressSpace space(prog, 4);
     sim::TimingModel timing;
-    detect::Detector det(prog, space, space.renderProcMaps(), timing,
-                         {});
+    const detect::DetectorContext ctx(prog, space, space.renderProcMaps(),
+                                      timing);
+    detect::DetectorPipeline det(ctx);
     Rng rng(44);
     pebs::PebsRecord rec;
     for (auto _ : state) {
@@ -128,7 +129,7 @@ BM_DetectorPipeline(benchmark::State &state)
             rng.below(prog.size())));
         rec.dataAddr = 0x1000000 + rng.below(16) * 8;
         rec.cycle = 1000;
-        det.processRecord(rec);
+        det.onRecord(rec);
     }
 }
 BENCHMARK(BM_DetectorPipeline);

@@ -7,12 +7,13 @@
  * detection pipeline), prints the report, lets LASERREPAIR rewrite the
  * binary with a software store buffer, and shows the speedup.
  *
- *   ./examples/quickstart
+ *   ./build/quickstart
  */
 
 #include <cstdio>
 
-#include "detect/detector.h"
+#include "analysis/sink.h"
+#include "detect/pipeline.h"
 #include "isa/assembler.h"
 #include "pebs/monitor.h"
 #include "repair/repairer.h"
@@ -58,10 +59,12 @@ main()
     sim::MachineStats native = machine.run();
     monitor.finish();
 
-    detect::Detector detector(prog, machine.addressSpace(),
-                              machine.addressSpace().renderProcMaps(),
-                              mc.timing, {});
-    detector.processAll(monitor.records());
+    const detect::DetectorContext ctx(
+        prog, machine.addressSpace(),
+        machine.addressSpace().renderProcMaps(), mc.timing);
+    detect::DetectorPipeline detector(ctx);
+    // PEBS buffers drain per core in bursts; restore cycle order.
+    analysis::drainSorted(monitor.records(), detector);
     detect::DetectionReport report = detector.finish(native.cycles);
 
     std::printf("== LASERDETECT report ==\n");

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "detect/detector.h"
+#include "detect/types.h"
 #include "workloads/workload.h"
 
 namespace laser::core {

@@ -30,7 +30,7 @@
 #include "analysis/sink.h"
 #include "baselines/sheriff.h"
 #include "baselines/vtune.h"
-#include "detect/detector.h"
+#include "detect/types.h"
 #include "pebs/monitor.h"
 #include "repair/repairer.h"
 #include "sim/machine.h"

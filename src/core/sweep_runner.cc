@@ -40,7 +40,6 @@ struct SweepMetrics
     obs::Counter &memoryHits;
     obs::Counter &diskHits;
     obs::Counter &inflightDedup;
-    obs::Counter &bytesRead;
     obs::Counter &bytesWritten;
     obs::Histogram &captureSeconds;
 
@@ -52,7 +51,6 @@ struct SweepMetrics
             obs::Registry::global().counter("sweep.cache_hits.memory"),
             obs::Registry::global().counter("sweep.cache_hits.disk"),
             obs::Registry::global().counter("sweep.inflight_dedup"),
-            obs::Registry::global().counter("trace.cache.bytes_read"),
             obs::Registry::global().counter("trace.cache.bytes_written"),
             obs::Registry::global().histogram("sweep.capture_seconds"),
         };
@@ -72,21 +70,13 @@ fileBytes(const std::string &path)
 
 /**
  * One cache slot. The once-flag coalesces concurrent captures of the
- * same configuration: the first requester simulates (or loads from
- * disk), everyone else blocks until the trace is ready.
+ * same configuration: the first requester opens the disk file (or
+ * simulates), everyone else blocks until the file is ready.
  */
-struct SweepRunner::Entry
-{
-    std::once_flag once;
-    /** Set after the once-callable finished (dedup accounting only). */
-    std::atomic<bool> ready{false};
-    std::shared_ptr<const trace::Trace> trace;
-};
-
-/** A cache slot of the seekable-file flavor (captureFile()). */
 struct SweepRunner::FileEntry
 {
     std::once_flag once;
+    /** Set after the once-callable finished (dedup accounting only). */
     std::atomic<bool> ready{false};
     std::shared_ptr<const trace::TraceFile> file;
 };
@@ -111,64 +101,6 @@ SweepRunner::cachePath(std::uint64_t key) const
     return cfg_.cacheDir + "/" + hexKey(key) + trace::kTraceExtension;
 }
 
-std::shared_ptr<const trace::Trace>
-SweepRunner::loadOrRun(std::uint64_t key,
-                       const workloads::WorkloadDef &workload,
-                       const trace::CaptureOptions &opt)
-{
-    SweepMetrics &metrics = SweepMetrics::get();
-    const std::string path = cachePath(key);
-    if (!path.empty()) {
-        LASER_SPAN("sweep.disk_load");
-        trace::TraceReader reader;
-        if (reader.readFile(path) == trace::TraceStatus::Ok &&
-                trace::configHash(reader.trace().meta) == key) {
-            // Touch the file so mtime-LRU eviction (laser_trace cache
-            // gc) treats last-modified as last-used.
-            std::error_code ec;
-            std::filesystem::last_write_time(
-                path, std::filesystem::file_time_type::clock::now(), ec);
-            metrics.diskHits.inc();
-            metrics.bytesRead.inc(fileBytes(path));
-            util::MutexLock lock(&mu_);
-            ++stats_.diskCacheHits;
-            return std::make_shared<trace::Trace>(reader.takeTrace());
-        }
-        // Missing, corrupt or stale cache file: fall through and rerun
-        // (the fresh capture overwrites it).
-    }
-
-    std::shared_ptr<trace::Trace> trace;
-    const auto start = std::chrono::steady_clock::now();
-    {
-        LASER_SPAN("sweep.simulate");
-        trace = std::make_shared<trace::Trace>(
-            trace::captureTrace(workload, opt));
-    }
-    metrics.machineRuns.inc();
-    metrics.captureSeconds.record(secondsSince(start));
-    {
-        util::MutexLock lock(&mu_);
-        ++stats_.machineRuns;
-    }
-    if (!path.empty()) {
-        // Deliberate discard-with-accounting: cache population is
-        // best-effort (a failed write just means a re-simulation next
-        // sweep), but the failure must not be silent — it lands in the
-        // trace.cache.write_failures counter every exporter surfaces.
-        if (trace::writeTraceFile(*trace, path) ==
-                trace::TraceStatus::Ok) {
-            metrics.bytesWritten.inc(fileBytes(path));
-        } else {
-            static obs::Counter &write_failures =
-                obs::Registry::global().counter(
-                    "trace.cache.write_failures");
-            write_failures.inc();
-        }
-    }
-    return trace;
-}
-
 std::shared_ptr<const trace::TraceFile>
 SweepRunner::loadOrRunFile(std::uint64_t key,
                            const workloads::WorkloadDef &workload,
@@ -185,6 +117,8 @@ SweepRunner::loadOrRunFile(std::uint64_t key,
         // open() verifies it against the config section).
         if (file->open(path) == trace::TraceStatus::Ok &&
                 file->storedConfigHash() == key) {
+            // Touch the file so mtime-LRU eviction (laser_trace cache
+            // gc) treats last-modified as last-used.
             std::error_code ec;
             std::filesystem::last_write_time(
                 path, std::filesystem::file_time_type::clock::now(), ec);
@@ -193,8 +127,8 @@ SweepRunner::loadOrRunFile(std::uint64_t key,
             ++stats_.diskCacheHits;
             return file;
         }
-        // Missing, corrupt, stale or other-version cache file: fall
-        // through and rerun (the fresh capture overwrites it).
+        // Missing, junk, truncated, stale or other-version cache file:
+        // fall through and rerun (the fresh capture overwrites it).
     }
 
     trace::Trace captured;
@@ -257,6 +191,8 @@ SweepRunner::captureFile(const workloads::WorkloadDef &workload,
     if (!created) {
         SweepMetrics &metrics = SweepMetrics::get();
         metrics.memoryHits.inc();
+        // A hit on an entry whose capture is still running means this
+        // request was coalesced with an in-flight identical one.
         if (!entry->ready.load(std::memory_order_acquire))
             metrics.inflightDedup.inc();
         util::MutexLock lock(&mu_);
@@ -274,36 +210,16 @@ std::shared_ptr<const trace::Trace>
 SweepRunner::capture(const workloads::WorkloadDef &workload,
                      const trace::CaptureOptions &opt)
 {
-    const std::uint64_t key =
-        trace::configHash(trace::makeCaptureMeta(workload, opt));
-
-    std::shared_ptr<Entry> entry;
-    bool created = false;
-    {
-        util::MutexLock lock(&mu_);
-        std::shared_ptr<Entry> &slot = cache_[key];
-        if (!slot) {
-            slot = std::make_shared<Entry>();
-            created = true;
-        }
-        entry = slot;
-    }
-    if (!created) {
-        SweepMetrics &metrics = SweepMetrics::get();
-        metrics.memoryHits.inc();
-        // A hit on an entry whose capture is still running means this
-        // request was coalesced with an in-flight identical one.
-        if (!entry->ready.load(std::memory_order_acquire))
-            metrics.inflightDedup.inc();
-        util::MutexLock lock(&mu_);
-        ++stats_.memoryCacheHits;
-    }
-
-    std::call_once(entry->once, [&] {
-        entry->trace = loadOrRun(key, workload, opt);
-        entry->ready.store(true, std::memory_order_release);
-    });
-    return entry->trace;
+    const std::shared_ptr<const trace::TraceFile> file =
+        captureFile(workload, opt);
+    auto trace = std::make_shared<trace::Trace>();
+    std::string detail;
+    const trace::TraceStatus status = file->readAll(trace.get(), &detail);
+    if (status != trace::TraceStatus::Ok)
+        throw std::runtime_error(
+            std::string("capture: cached trace failed to decode: ") +
+            trace::traceStatusName(status) + ": " + detail);
+    return trace;
 }
 
 SweepStats

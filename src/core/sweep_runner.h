@@ -5,12 +5,22 @@
  * trace cache — simulate once, replay many.
  *
  * A capture request is keyed by trace::configHash() of its full
- * configuration. On a key hit the cached trace is returned without
- * touching the machine simulator; misses run the simulation (at most
- * once per key, even under concurrent requests) and populate the cache.
- * With a cache directory configured, traces also persist across
- * processes as <hash>.ltrace files, so a second sweep over the same
- * configuration performs zero machine runs.
+ * configuration. There is one cache with two views: every key holds
+ * one open trace::TraceFile, which captureFile() returns as is and
+ * capture() decodes into a fresh Trace. On a key hit the cached file
+ * is served without touching the machine simulator; misses run the
+ * simulation (at most once per key, even under concurrent requests,
+ * whichever view asked first) and populate the cache. With a cache
+ * directory configured, traces also persist across processes as
+ * <hash>.ltrace files, so a second sweep over the same configuration
+ * performs zero machine runs.
+ *
+ * Fault policy (both views): a cache file that fails open() — junk,
+ * truncated, other format version, or a header/meta/index checksum
+ * mismatch — is a cache miss; it is re-simulated and overwritten. A
+ * file that opens but whose record block fails its checksum is an
+ * error: capture() throws std::runtime_error naming the status, and a
+ * captureFile() caller gets the same from its replay cursor.
  */
 
 #ifndef LASER_CORE_SWEEP_RUNNER_H
@@ -23,7 +33,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "detect/detector.h"
 #include "trace/capture.h"
 #include "trace/trace.h"
 #include "trace/trace_file.h"
@@ -37,7 +46,7 @@ namespace laser::core {
  * Cache / execution counters (cumulative over the runner's lifetime).
  * Every increment is mirrored into the global obs registry
  * (sweep.machine_runs, sweep.cache_hits.memory, sweep.cache_hits.disk,
- * sweep.inflight_dedup, trace.cache.bytes_read/written), which is what
+ * sweep.inflight_dedup, trace.cache.bytes_written), which is what
  * tools and benches export; the struct remains the per-runner view so
  * concurrent runners in one process stay separable.
  */
@@ -79,26 +88,28 @@ class SweepRunner
     explicit SweepRunner(Config cfg);
 
     /**
-     * Capture (or fetch from cache) the monitored run of @p workload
-     * under @p opt, materialized. Concurrent requests for the same
-     * configuration are coalesced into a single simulation.
-     */
-    std::shared_ptr<const trace::Trace>
-    capture(const workloads::WorkloadDef &workload,
-            const trace::CaptureOptions &opt);
-
-    /**
-     * Like capture(), but returns the run as an open seekable
-     * trace::TraceFile instead of a materialized Trace: a disk cache
-     * hit validates only the header, meta sections and block index —
-     * record blocks stay encoded until replay cursors pull them — so
-     * serving a warm sweep costs O(meta + index) reads and replay
-     * memory stays O(block x shards). Without a cache directory the
-     * encoded image is held in memory and cursored the same way.
+     * The monitored run of @p workload under @p opt as an open seekable
+     * trace::TraceFile, simulated on a miss. A disk cache hit validates
+     * only the header, meta sections and block index — record blocks
+     * stay encoded until replay cursors pull them — so serving a warm
+     * sweep costs O(meta + index) reads and replay memory stays
+     * O(block x shards). Without a cache directory the encoded image is
+     * held in memory and cursored the same way. Concurrent requests for
+     * the same configuration are coalesced into a single simulation.
      */
     std::shared_ptr<const trace::TraceFile>
     captureFile(const workloads::WorkloadDef &workload,
                 const trace::CaptureOptions &opt);
+
+    /**
+     * captureFile() decoded into a fresh materialized Trace; shares
+     * captureFile()'s cache slot, so neither view re-simulates a key the
+     * other has served. Throws std::runtime_error when a record block
+     * fails its checksum.
+     */
+    std::shared_ptr<const trace::Trace>
+    capture(const workloads::WorkloadDef &workload,
+            const trace::CaptureOptions &opt);
 
     /** Fan fn(0..n-1) across the worker pool (blocking). */
     void
@@ -118,12 +129,7 @@ class SweepRunner
     std::string cachePath(std::uint64_t key) const;
 
   private:
-    struct Entry;
     struct FileEntry;
-
-    std::shared_ptr<const trace::Trace>
-    loadOrRun(std::uint64_t key, const workloads::WorkloadDef &workload,
-              const trace::CaptureOptions &opt);
 
     std::shared_ptr<const trace::TraceFile>
     loadOrRunFile(std::uint64_t key,
@@ -134,14 +140,12 @@ class SweepRunner
     util::ThreadPool pool_;
     mutable util::Mutex mu_;
     /**
-     * Key -> coalescing slot. The maps are guarded; the *slots* escape
+     * Key -> coalescing slot. The map is guarded; the *slots* escape
      * the lock deliberately — a slot's payload is published through its
      * std::once_flag, so concurrent captures of the same key block in
      * std::call_once instead of serializing the whole cache (see the
-     * Entry definition in sweep_runner.cc).
+     * FileEntry definition in sweep_runner.cc).
      */
-    std::unordered_map<std::uint64_t, std::shared_ptr<Entry>> cache_
-        GUARDED_BY(mu_);
     std::unordered_map<std::uint64_t, std::shared_ptr<FileEntry>>
         fileCache_ GUARDED_BY(mu_);
     SweepStats stats_ GUARDED_BY(mu_);

@@ -1,4 +1,4 @@
-#include "detect/detector.h"
+#include "detect/types.h"
 
 namespace laser::detect {
 
@@ -49,27 +49,6 @@ reportsIdentical(const DetectionReport &a, const DetectionReport &b)
         }
     }
     return true;
-}
-
-Detector::Detector(const isa::Program &prog,
-                   const mem::AddressSpace &space, std::string maps_text,
-                   const sim::TimingModel &timing, DetectorConfig cfg,
-                   int line_bytes)
-    : ctx_(std::make_unique<DetectorContext>(prog, space,
-                                             std::move(maps_text),
-                                             timing, line_bytes)),
-      pipeline_(*ctx_, cfg, DetectorPipeline::Mode::Streaming)
-{
-}
-
-void
-Detector::processAll(const std::vector<pebs::PebsRecord> &recs)
-{
-    // The driver drains whole per-core buffers at a time, so the raw
-    // stream arrives in same-core bursts. Records carry timestamps;
-    // processing them in time order restores the interleaving the
-    // cache-line model needs to tell false from true sharing.
-    analysis::drainSorted(recs, pipeline_);
 }
 
 } // namespace laser::detect

@@ -29,7 +29,6 @@
 #include "analysis/sink.h"
 #include "baselines/sheriff.h"
 #include "baselines/vtune.h"
-#include "detect/detector.h"
 #include "detect/pipeline.h"
 #include "isa/program.h"
 #include "mem/address_space.h"
@@ -113,14 +112,6 @@ class TraceReplayer
     /** The record stream being replayed. */
     const RecordSource &source() const { return *source_; }
     std::uint64_t recordCount() const { return source_->recordCount(); }
-
-    /**
-     * The backing materialized trace. Only valid for replayers built
-     * with the Trace ctor (source-backed replayers have none).
-     */
-    const Trace &trace() const { return *trace_; }
-    /** True when trace() is valid. */
-    bool hasTrace() const { return trace_ != nullptr; }
 
     const isa::Program &program() const { return program_; }
     const mem::AddressSpace &space() const { return *space_; }

@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "detect/cacheline_model.h"
-#include "detect/detector.h"
 #include "detect/maps_filter.h"
+#include "detect/pipeline.h"
 #include "isa/assembler.h"
 #include "mem/address_space.h"
 #include "pebs/record.h"
@@ -247,23 +247,25 @@ struct DetectorFixture
         return r;
     }
 
-    Detector
+    DetectorContext ctx{prog, space, space.renderProcMaps(), timing};
+
+    DetectorPipeline
     makeDetector(DetectorConfig cfg = {}) const
     {
-        return Detector(prog, space, space.renderProcMaps(), timing, cfg);
+        return DetectorPipeline(ctx, cfg);
     }
 };
 
 TEST(Detector, DropsSpuriousPcs)
 {
     DetectorFixture f;
-    Detector d = f.makeDetector();
+    DetectorPipeline d = f.makeDetector();
     pebs::PebsRecord junk;
     junk.pc = 0x30000000; // outside any mapping
     junk.dataAddr = 0x1000000;
-    d.processRecord(junk);
+    d.onRecord(junk);
     junk.pc = 0xffff800000001000ULL; // kernel
-    d.processRecord(junk);
+    d.onRecord(junk);
     DetectionReport rep = d.finish(1'133'333);
     EXPECT_EQ(rep.droppedPcFilter, 2u);
     EXPECT_TRUE(rep.lines.empty());
@@ -272,8 +274,8 @@ TEST(Detector, DropsSpuriousPcs)
 TEST(Detector, DropsStackDataAddresses)
 {
     DetectorFixture f;
-    Detector d = f.makeDetector();
-    d.processRecord(f.record(0, f.space.stackTop(0)));
+    DetectorPipeline d = f.makeDetector();
+    d.onRecord(f.record(0, f.space.stackTop(0)));
     DetectionReport rep = d.finish(1'133'333);
     EXPECT_EQ(rep.droppedStackData, 1u);
     EXPECT_TRUE(rep.lines.empty());
@@ -284,10 +286,10 @@ TEST(Detector, ReportsHotLineAboveThreshold)
     DetectorFixture f;
     DetectorConfig cfg;
     cfg.sav = 1;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     // 1000 records at one PC over ~1ms represented time: far above 1K/s.
     for (int i = 0; i < 1000; ++i)
-        d.processRecord(f.record(0, 0x1000000 + (i % 2) * 8));
+        d.onRecord(f.record(0, 0x1000000 + (i % 2) * 8));
     DetectionReport rep = d.finish(1'133'333);
     ASSERT_EQ(rep.lines.size(), 1u);
     EXPECT_EQ(rep.lines[0].location, "main.c:10");
@@ -303,9 +305,9 @@ TEST(Detector, RateThresholdFiltersColdLines)
     cfg.sav = 1;
     // 3.4e9 cycles = 1000 represented seconds at compression 1000; three
     // records => 0.003/s, far below any threshold.
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     for (int i = 0; i < 3; ++i)
-        d.processRecord(f.record(0, 0x1000000));
+        d.onRecord(f.record(0, 0x1000000));
     DetectionReport rep = d.finish(1'133'333'333ULL);
     EXPECT_TRUE(rep.lines.empty());
 }
@@ -315,11 +317,11 @@ TEST(Detector, ClassifiesFalseSharing)
     DetectorFixture f;
     DetectorConfig cfg;
     cfg.sav = 1;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     // Alternating disjoint 8-byte halves of one line, written via the
     // store at index 0.
     for (int i = 0; i < 2000; ++i)
-        d.processRecord(f.record(0, 0x1000000 + (i % 2) * 32));
+        d.onRecord(f.record(0, 0x1000000 + (i % 2) * 32));
     DetectionReport rep = d.finish(1'133'333);
     ASSERT_FALSE(rep.lines.empty());
     EXPECT_EQ(rep.lines[0].type, ContentionType::FalseSharing);
@@ -331,9 +333,9 @@ TEST(Detector, ClassifiesTrueSharing)
     DetectorFixture f;
     DetectorConfig cfg;
     cfg.sav = 1;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     for (int i = 0; i < 2000; ++i)
-        d.processRecord(f.record(0, 0x1000000)); // same word every time
+        d.onRecord(f.record(0, 0x1000000)); // same word every time
     DetectionReport rep = d.finish(1'133'333);
     ASSERT_FALSE(rep.lines.empty());
     EXPECT_EQ(rep.lines[0].type, ContentionType::TrueSharing);
@@ -344,11 +346,11 @@ TEST(Detector, NoisyAddressesYieldUnknownType)
     DetectorFixture f;
     DetectorConfig cfg;
     cfg.sav = 1;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     // Unique garbage addresses: no line ever sees two accesses, so
     // nothing classifies (the linear_regression -O3 situation).
     for (int i = 0; i < 2000; ++i)
-        d.processRecord(f.record(0, 0x20000000 + i * 4096));
+        d.onRecord(f.record(0, 0x20000000 + i * 4096));
     DetectionReport rep = d.finish(1'133'333);
     ASSERT_FALSE(rep.lines.empty());
     EXPECT_EQ(rep.lines[0].type, ContentionType::Unknown);
@@ -359,11 +361,11 @@ TEST(Detector, AggregatesAdjacentPcsToSameLine)
     DetectorFixture f;
     DetectorConfig cfg;
     cfg.sav = 1;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     // Records at index 0 and (skidded) index 1 belong to lines 10/11.
     for (int i = 0; i < 2400; ++i) {
-        d.processRecord(f.record(0, 0x1000000));
-        d.processRecord(f.record(1, 0x1000000));
+        d.onRecord(f.record(0, 0x1000000));
+        d.onRecord(f.record(1, 0x1000000));
     }
     DetectionReport rep = d.finish(1'133'333);
     EXPECT_NE(rep.findLine("main.c:10"), nullptr);
@@ -376,11 +378,11 @@ TEST(Detector, RepairTriggersOnFalseSharingStorm)
     DetectorConfig cfg;
     cfg.sav = 19;
     cfg.rateCheckInterval = 100'000;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     // Heavy FS: disjoint halves, cycles advancing so rates compute.
     for (int i = 0; i < 5000 && !d.repairRequested(); ++i)
-        d.processRecord(f.record(0, 0x1000000 + (i % 2) * 32,
-                                 1000 + 400ull * i));
+        d.onRecord(f.record(0, 0x1000000 + (i % 2) * 32,
+                            1000 + 400ull * i));
     DetectionReport rep = d.finish(1'700'000);
     EXPECT_TRUE(rep.repairRequested);
     ASSERT_FALSE(rep.repairPcs.empty());
@@ -394,9 +396,9 @@ TEST(Detector, RepairNotTriggeredByTrueSharing)
     DetectorConfig cfg;
     cfg.sav = 19;
     cfg.rateCheckInterval = 100'000;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     for (int i = 0; i < 5000; ++i)
-        d.processRecord(f.record(0, 0x1000000, 1000 + 400ull * i));
+        d.onRecord(f.record(0, 0x1000000, 1000 + 400ull * i));
     DetectionReport rep = d.finish(1'700'000);
     EXPECT_FALSE(rep.repairRequested);
 }
@@ -407,11 +409,11 @@ TEST(Detector, RepairNotTriggeredBelowRate)
     DetectorConfig cfg;
     cfg.sav = 19;
     cfg.rateCheckInterval = 100'000;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     // Sparse FS records: far apart in time.
     for (int i = 0; i < 200; ++i)
-        d.processRecord(f.record(0, 0x1000000 + (i % 2) * 32,
-                                 1000 + 10'000'000ull * i));
+        d.onRecord(f.record(0, 0x1000000 + (i % 2) * 32,
+                            1000 + 10'000'000ull * i));
     DetectionReport rep = d.finish(700'000'000ULL);
     EXPECT_FALSE(rep.repairRequested);
 }
@@ -420,9 +422,9 @@ TEST(Detector, DetectorCyclesScaleWithRecords)
 {
     DetectorFixture f;
     DetectorConfig cfg;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     for (int i = 0; i < 100; ++i)
-        d.processRecord(f.record(0, 0x1000000));
+        d.onRecord(f.record(0, 0x1000000));
     DetectionReport rep = d.finish(1'133'333);
     EXPECT_EQ(rep.detectorCycles, 100ull * f.timing.detectorPerRecord);
 }
@@ -432,10 +434,10 @@ TEST(Detector, LibraryLinesFlagged)
     DetectorFixture f;
     DetectorConfig cfg;
     cfg.sav = 1;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     const std::uint32_t lib_index = f.prog.segments[1].begin;
     for (int i = 0; i < 1000; ++i)
-        d.processRecord(f.record(lib_index, 0x1000000));
+        d.onRecord(f.record(lib_index, 0x1000000));
     DetectionReport rep = d.finish(1'133'333);
     ASSERT_FALSE(rep.lines.empty());
     EXPECT_TRUE(rep.lines[0].library);

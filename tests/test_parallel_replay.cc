@@ -13,9 +13,9 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "analysis/sink.h"
 #include "core/experiment.h"
 #include "core/sweep_runner.h"
-#include "detect/detector.h"
 #include "detect/detector_state.h"
 #include "detect/pipeline.h"
 #include "isa/assembler.h"
@@ -146,9 +146,8 @@ TEST(DetectorStateMerge, MergedScanMatchesStreamingRepairTrigger)
         recs.push_back(f.record(0, 0x1000000 + (i % 2) * 32,
                                 1000 + 400ull * i));
 
-    detect::Detector streaming(f.prog, f.space, f.space.renderProcMaps(),
-                               f.timing, cfg);
-    streaming.processAll(recs);
+    detect::DetectorPipeline streaming(f.ctx, cfg);
+    analysis::drainSorted(recs, streaming);
     const detect::DetectionReport serial = streaming.finish(1'700'000);
 
     for (std::size_t cut : {std::size_t(0), recs.size() / 3,

@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "core/experiment.h"
@@ -560,12 +562,109 @@ TEST(SweepRunner, UnwritableCacheDirSurfacesWriteFailures)
     EXPECT_EQ(runner.stats().machineRuns, 1u);
     EXPECT_EQ(failures.value(), before + 1);
 
-    // The file-backed path fails the same way but still serves the
-    // freshly encoded in-memory image.
+    // The file view of the same key is served from the slot capture()
+    // filled: no second simulation, so no second write attempt.
     const auto tf = runner.captureFile(*kmeans, CaptureOptions{});
     ASSERT_NE(tf, nullptr);
-    EXPECT_EQ(failures.value(), before + 2);
+    EXPECT_EQ(tf->recordCount(), trace->records.size());
+    EXPECT_EQ(runner.stats().machineRuns, 1u);
+    EXPECT_EQ(runner.stats().memoryCacheHits, 1u);
+    EXPECT_EQ(failures.value(), before + 1);
     fs::remove_all(file);
+}
+
+void
+expectRecordsEqual(const std::vector<pebs::PebsRecord> &a,
+                   const std::vector<pebs::PebsRecord> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].pc, b[i].pc) << i;
+        EXPECT_EQ(a[i].dataAddr, b[i].dataAddr) << i;
+        EXPECT_EQ(a[i].core, b[i].core) << i;
+        EXPECT_EQ(a[i].cycle, b[i].cycle) << i;
+    }
+}
+
+TEST(SweepRunner, CaptureAndCaptureFileShareOneSlot)
+{
+    const auto *kmeans = workloads::findWorkload("kmeans");
+    const CaptureOptions opt;
+    const Trace direct = captureTrace(*kmeans, opt);
+
+    // File view first, then the decoded view.
+    {
+        core::SweepRunner runner;
+        const auto tf = runner.captureFile(*kmeans, opt);
+        const auto trace = runner.capture(*kmeans, opt);
+        EXPECT_EQ(runner.stats().machineRuns, 1u);
+        EXPECT_EQ(runner.stats().memoryCacheHits, 1u);
+        EXPECT_EQ(tf->recordCount(), direct.records.size());
+        expectRecordsEqual(trace->records, direct.records);
+    }
+    // Decoded view first, then the file view.
+    {
+        core::SweepRunner runner;
+        const auto trace = runner.capture(*kmeans, opt);
+        const auto tf = runner.captureFile(*kmeans, opt);
+        EXPECT_EQ(runner.stats().machineRuns, 1u);
+        EXPECT_EQ(runner.stats().memoryCacheHits, 1u);
+        expectRecordsEqual(trace->records, direct.records);
+        Trace decoded;
+        ASSERT_EQ(tf->readAll(&decoded), TraceStatus::Ok);
+        expectRecordsEqual(decoded.records, direct.records);
+    }
+}
+
+TEST(SweepRunner, CorruptRecordBlockInCacheFileThrows)
+{
+    const fs::path dir =
+        fs::temp_directory_path() / "laser_sweep_block_corrupt_test";
+    fs::remove_all(dir);
+    const auto *kmeans = workloads::findWorkload("kmeans");
+    const CaptureOptions opt;
+    core::SweepRunner::Config cfg;
+    cfg.cacheDir = dir.string();
+    std::string path;
+    {
+        core::SweepRunner warm(cfg);
+        warm.capture(*kmeans, opt);
+        path = warm.cachePath(configHash(makeCaptureMeta(*kmeans, opt)));
+    }
+
+    // Flip one byte inside the first record block: the header, meta and
+    // index (and their checksums) stay intact, so open() still succeeds.
+    std::uint64_t offset = 0;
+    {
+        TraceFile probe;
+        ASSERT_EQ(probe.open(path), TraceStatus::Ok);
+        ASSERT_FALSE(probe.index().blocks.empty());
+        const columnar::BlockInfo &block = probe.index().blocks[0];
+        offset = kTraceHeaderSize + probe.index().blobOffset +
+                 block.blobOffset + block.blobBytes() / 2;
+    }
+    {
+        std::fstream f(path, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        f.seekg(std::streamoff(offset));
+        const char byte = static_cast<char>(f.get() ^ 0x40);
+        f.seekp(std::streamoff(offset));
+        f.put(byte);
+    }
+
+    // A fresh runner opens the file as a disk hit, and decoding it for
+    // capture() fails loudly instead of serving corrupt records.
+    core::SweepRunner runner(cfg);
+    try {
+        runner.capture(*kmeans, opt);
+        ADD_FAILURE() << "capture() served a corrupt record block";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("corrupt"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(runner.stats().machineRuns, 0u);
+    EXPECT_EQ(runner.stats().diskCacheHits, 1u);
+    fs::remove_all(dir);
 }
 
 TEST(TraceCache, ListsOldestFirstWithHeaderStatus)
